@@ -86,14 +86,6 @@ class NetworkSpec:
         raise KeyError(name)
 
 
-@dataclass
-class GeneratorOutput:
-    """Generated video in (-1,1), with the per-layer activations when cached."""
-
-    video: Tensor
-    activations: dict | None = None
-
-
 def _scale_width(base, width_multiplier):
     return max(1, round(base * width_multiplier))
 
@@ -239,11 +231,11 @@ def _apply_layer(layer, params, x, mode, update_running, bn_eps, bn_momentum):
 
 
 def forward_generator(spec, params, x, mode="train", update_running=True,
-                      cache_activations=False, bn_eps=BN_EPS, bn_momentum=BN_MOMENTUM):
+                      bn_eps=BN_EPS, bn_momentum=BN_MOMENTUM):
     """Run a generator over a static or stage-1 video (N,3,T,H,W).
 
-    Skip additions happen on the decoder inputs; output is tanh-bounded, the
-    same shape as the input. Differentiable end to end.
+    Skip additions happen on the decoder inputs. Returns the tanh-bounded
+    video tensor, the same shape as the input. Differentiable end to end.
     """
     if tuple(x.shape[1:]) != tuple(spec.input_shape):
         raise DimensionError(
@@ -261,7 +253,7 @@ def forward_generator(spec, params, x, mode="train", update_running=True,
         cur = _apply_layer(layer, params, cur, mode, update_running,
                            bn_eps, bn_momentum)
         cache[layer.name] = cur
-    return GeneratorOutput(video=cur, activations=cache if cache_activations else None)
+    return cur
 
 
 def forward_discriminator(spec, params, video, mode="train", update_running=True,

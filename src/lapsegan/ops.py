@@ -324,20 +324,9 @@ class ParameterSet:
         self.tensors = {}   # name -> Tensor (requires_grad)
         self.buffers = {}   # name -> np.ndarray
 
-    def named(self):
-        return sorted(self.tensors)
-
     def zero_grad(self):
         for t in self.tensors.values():
             t.grad = None
-
-    def astype(self, dtype):
-        out = ParameterSet()
-        for k, t in self.tensors.items():
-            out.tensors[k] = Tensor(t.values.astype(dtype), requires_grad=True)
-        for k, b in self.buffers.items():
-            out.buffers[k] = b.astype(dtype)
-        return out
 
     def clone(self):
         out = ParameterSet()

@@ -303,27 +303,6 @@ def clamp(a, lo, hi):
     return Tensor._from_op(out, (a,), backward, "clamp")
 
 
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scalar-mul": mul,
-    "neg": neg,
-    "exp": exp,
-    "log": log,
-    "log1p": log1p,
-    "abs": abs_,
-}
-
-
-def elementwise(kind, a, b=None):
-    """Dispatch an elementwise op by kind tag."""
-    if kind not in _ELEMENTWISE:
-        raise ContractError(f"unknown elementwise kind {kind!r}")
-    fn = _ELEMENTWISE[kind]
-    return fn(a) if b is None else fn(a, b)
-
-
 # -- reductions and shape ops --------------------------------------------
 
 

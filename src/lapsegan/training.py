@@ -1,14 +1,16 @@
-"""Adam optimization, the two-stage training loops, and checkpointing.
+"""Adam optimization, the alternating training loop, and checkpointing.
 
-Stage 1 alternates a discriminator step on real vs generated clips with a
-generator step on the adversarial plus content objective. Stage 2 follows
-the refine procedure exactly: the discriminator ascends
+Both stages run one loop: each iteration takes a discriminator step, then a
+generator step on a fresh batch; only the objectives differ. Stage 1 pairs a
+discriminator step on real vs generated clips with a generator step on the
+adversarial plus content objective. Stage 2 follows the refine procedure
+exactly: the discriminator ascends
 mean[log D(Y) + log(1 - D(G2(Y1)))] + lambda * rank (via Adam on the negated
 objective) and the generator descends
 mean[log(1 - D(G2(Y1)))] + lambda * rank + content, with the stage-1
-generator bitwise frozen throughout. Batches are drawn from a stateless
-per-epoch shuffle keyed by (seed, epoch), so a resumed run replays the
-exact stream of an uninterrupted one.
+generator run only without a tape, so it stays bitwise frozen. Batches are
+drawn from a stateless per-epoch shuffle keyed by (seed, epoch), so a
+resumed run replays the exact stream of an uninterrupted one.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .data import CLIP_LEN, load_batch
 from .errors import ConfigError, IntegrityError, UnsupportedVersionError
 from .losses import (LossReport, adversarial_terms, content_loss,
                      generator_adversarial, gram, rank_loss_total,
-                     stage1_objective, stage2_objective)
+                     stage2_objective)
 from .models import (build_discriminator, build_generator, duplicate_frame,
                      forward_discriminator, forward_generator)
 from .ops import ParameterSet, init_parameters
@@ -65,18 +67,23 @@ def adam_step(params, grads, state):
     """One bias-corrected Adam update, in place on the parameter values.
 
     ``grads`` maps parameter names to arrays; parameters absent from it
-    receive a zero gradient. Non-finite gradients abort the iteration.
+    receive a zero gradient. A non-finite gradient aborts the update before
+    any parameter or moment changes.
     """
-    state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
+    full = {}
     for name, tensor in params.tensors.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(tensor.values)
         elif not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient for {name}")
+        full[name] = g
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    for name, tensor in params.tensors.items():
+        g = full[name]
         m = state.m[name]
         v = state.v[name]
         m *= b1
@@ -87,10 +94,6 @@ def adam_step(params, grads, state):
         vhat = v / v.dtype.type(c2)
         tensor.values -= (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(
             tensor.values.dtype)
-
-
-def _grads_of(params):
-    return {k: t.grad for k, t in params.tensors.items() if t.grad is not None}
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -105,7 +108,6 @@ class Checkpoint:
     config: dict
     params: dict            # net name -> ParameterSet
     adam: dict = field(default_factory=dict)  # net name -> AdamState
-    rng_state: dict = field(default_factory=dict)
 
     def run_config(self) -> RunConfig:
         return config_from_dict(self.config)
@@ -118,7 +120,6 @@ def save_checkpoint(ckpt, path):
         "stage": ckpt.stage,
         "iteration": ckpt.iteration,
         "config": ckpt.config,
-        "rng_state": ckpt.rng_state,
         "adam": {net: {"t": st.t, "beta1": st.beta1, "beta2": st.beta2,
                        "eps": st.eps, "lr": st.lr}
                  for net, st in ckpt.adam.items()},
@@ -195,8 +196,7 @@ def load_checkpoint(path):
                               beta2=scalars["beta2"], eps=scalars["eps"],
                               lr=scalars["lr"])
     return Checkpoint(stage=meta["stage"], iteration=meta["iteration"],
-                      config=meta["config"], params=params, adam=adam,
-                      rng_state=meta.get("rng_state", {}))
+                      config=meta["config"], params=params, adam=adam)
 
 
 # -- shared training plumbing -------------------------------------------------
@@ -206,25 +206,11 @@ def _init_seed(cfg, tag):
     return np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_INIT_TAG, tag))
 
 
-def _master_rng_state(cfg):
-    gen = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
-    state = gen.bit_generator.state
-    return {"bit_generator": state["bit_generator"],
-            "state": {k: int(v) for k, v in state["state"].items()},
-            "has_uint32": int(state["has_uint32"]),
-            "uinteger": int(state["uinteger"])}
-
-
-def _check_finite(name, *tensors):
-    for t in tensors:
-        if not np.all(np.isfinite(t.values)):
-            raise TrainingDiverged(f"non-finite {name}")
-
-
 class _RunWriter:
-    """losses.csv rows, progress lines, and periodic checkpoints."""
+    """losses.csv rows, progress lines, and periodic checkpoints. A run
+    resumed at iteration ``start`` first drops the rows after ``start``."""
 
-    def __init__(self, out_dir, cfg, stage, append=False):
+    def __init__(self, out_dir, cfg, stage, start=0):
         self.cfg = cfg
         self.stage = stage
         self.out_dir = Path(out_dir) if out_dir is not None else None
@@ -232,10 +218,14 @@ class _RunWriter:
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             path = self.out_dir / "losses.csv"
-            header = not (append and path.exists())
-            self.csv = open(path, "a" if append else "w")
-            if header:
-                self.csv.write(LossReport.CSV_HEADER + "\n")
+            rows = [LossReport.CSV_HEADER]
+            if start and path.exists():
+                rows += [row for row in path.read_text().splitlines()[1:]
+                         if int(row.split(",", 1)[0]) <= start]
+            tmp = path.with_suffix(".tmp")  # old rows stay until the new file is whole
+            tmp.write_text("\n".join(rows) + "\n")
+            tmp.replace(path)
+            self.csv = open(path, "a")
 
     def report(self, rep):
         rep.check_totals()
@@ -248,20 +238,84 @@ class _RunWriter:
                   f"rank={rep.rank:.6f}", flush=True)
 
     def maybe_checkpoint(self, ckpt, final=False):
-        if self.out_dir is None:
-            return None
-        due = final or ckpt.iteration % self.cfg.checkpoint_every == 0
-        if not due:
-            return None
-        tag = "final" if final else f"iter{ckpt.iteration:06d}"
-        return save_checkpoint(ckpt, self.out_dir / f"stage{self.stage}_{tag}.mdck")
+        if self.out_dir is not None and (
+                final or ckpt.iteration % self.cfg.checkpoint_every == 0):
+            tag = "final" if final else f"iter{ckpt.iteration:06d}"
+            save_checkpoint(ckpt, self.out_dir / f"stage{self.stage}_{tag}.mdck")
 
     def close(self):
         if self.csv is not None:
             self.csv.close()
 
 
+def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, lam):
+    """Iterations ``start`` .. ``cfg.iterations`` of the alternating schedule.
+
+    ``phases`` holds the discriminator, then the generator phase, as (network,
+    objective); ``objective(y, x)`` returns the loss that network descends,
+    then its report terms: adv_d, then adv_g, rank and content. Each phase
+    draws its own batch. Returns (final Checkpoint, list of LossReports).
+    """
+    writer = _RunWriter(out_dir, cfg, stage, start)
+    reports, ckpt = [], None
+    try:
+        for it in range(start, cfg.iterations):
+            terms = []
+            for k, (net, objective) in enumerate(phases):
+                y, x = load_batch(store, "train", cfg.batch_size, cfg.seed, 2 * it + k)
+                loss, *parts = objective(y, x)
+                if not np.all(np.isfinite(loss.values)):
+                    raise TrainingDiverged(f"non-finite loss for {net}")
+                backward(loss)
+                grads = {name: t.grad for name, t in params[net].tensors.items()
+                         if t.grad is not None}
+                adam_step(params[net], grads, adam[net])
+                for other, _ in phases:
+                    params[other].zero_grad()
+                terms += [t.item() if isinstance(t, Tensor) else t for t in parts]
+                del loss, parts, grads  # free this phase's tape before the next forward
+            adv_d, adv_g, rank, content = terms
+            rep = stage2_objective(adv_d, adv_g, content, rank, lam=lam,
+                                   iteration=it + 1)
+            reports.append(rep)
+            writer.report(rep)
+            ckpt = Checkpoint(stage=stage, iteration=it + 1, config=cfg.as_dict(),
+                              params=params, adam=adam)
+            writer.maybe_checkpoint(ckpt)
+        if ckpt is not None:
+            writer.maybe_checkpoint(ckpt, final=True)
+    finally:
+        writer.close()
+    return ckpt, reports
+
+
 # -- stage 1 ------------------------------------------------------------------
+
+
+def stage1_d_objective(nets, y, x, cfg):
+    """The discriminator's loss on one batch,
+    -mean[log D(Y) + log(1 - D(G1(X)))]; gradients flow only into D1."""
+    g_spec, g_params, d_spec, d_params = nets
+    bn = dict(bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
+    with no_grad():
+        y1 = forward_generator(g_spec, g_params, x, **bn)
+    d_real, _ = forward_discriminator(d_spec, d_params, y, **bn)
+    d_fake, _ = forward_discriminator(d_spec, d_params, y1, **bn)
+    loss_d, _ = adversarial_terms(d_real, d_fake, cfg.adv_form)
+    return loss_d
+
+
+def stage1_g_objective(nets, y, x, cfg):
+    """The generator's descent objective on one batch:
+    mean[log(1 - D(G1(X)))] + content. Returns (objective, adv_g, content)
+    tensors; the discriminator's gradients are cleared before its next step."""
+    g_spec, g_params, d_spec, d_params = nets
+    bn = dict(bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
+    y1 = forward_generator(g_spec, g_params, x, **bn)
+    d_fake, _ = forward_discriminator(d_spec, d_params, y1, **bn)
+    adv_g = generator_adversarial(d_fake, cfg.adv_form)
+    l_con = content_loss(y, y1, cfg.loss_reduction)
+    return adv_g + l_con, adv_g, l_con
 
 
 def train_stage1(store, cfg, out_dir=None, resume=None):
@@ -279,63 +333,24 @@ def train_stage1(store, cfg, out_dir=None, resume=None):
     if resume is not None:
         if resume.stage != 1:
             raise ConfigError(f"expected a stage-1 checkpoint, got stage {resume.stage}")
-        g_params, d_params = resume.params["g1"], resume.params["d1"]
-        adam_g, adam_d = resume.adam["g1"], resume.adam["d1"]
-        start = resume.iteration
+        params, adam, start = resume.params, resume.adam, resume.iteration
     else:
-        g_params = init_parameters(g_spec, _init_seed(cfg, 1))
-        d_params = init_parameters(d_spec, _init_seed(cfg, 2))
-        adam_g, adam_d = AdamState.fresh(g_params, cfg), AdamState.fresh(d_params, cfg)
+        params = {"g1": init_parameters(g_spec, _init_seed(cfg, 1)),
+                  "d1": init_parameters(d_spec, _init_seed(cfg, 2))}
+        adam = {net: AdamState.fresh(ps, cfg) for net, ps in params.items()}
         start = 0
+    nets = (g_spec, params["g1"], d_spec, params["d1"])
 
-    writer = _RunWriter(out_dir, cfg, stage=1, append=resume is not None)
-    bn = dict(bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
-    reports = []
-    ckpt = None
-    try:
-        for it in range(start, cfg.iterations):
-            # (a) discriminator on real vs generated, generator frozen
-            d_params.zero_grad()
-            y, x = load_batch(store, "train", cfg.batch_size, cfg.seed, 2 * it)
-            with no_grad():
-                y1 = forward_generator(g_spec, g_params, x, **bn).video
-            d_real, _ = forward_discriminator(d_spec, d_params, y, **bn)
-            d_fake, _ = forward_discriminator(d_spec, d_params, y1, **bn)
-            loss_d, _ = adversarial_terms(d_real, d_fake, cfg.adv_form)
-            _check_finite("discriminator loss", loss_d)
-            backward(loss_d)
-            adam_step(d_params, _grads_of(d_params), adam_d)
-            d_params.zero_grad()
+    def d_phase(y, x):
+        loss_d = stage1_d_objective(nets, y, x, cfg)
+        return loss_d, loss_d
 
-            # (b) generator on a fresh batch, discriminator frozen
-            g_params.zero_grad()
-            d_params.zero_grad()
-            y, x = load_batch(store, "train", cfg.batch_size, cfg.seed, 2 * it + 1)
-            y1 = forward_generator(g_spec, g_params, x, **bn).video
-            d_fake, _ = forward_discriminator(d_spec, d_params, y1, **bn)
-            adv_g = generator_adversarial(d_fake, cfg.adv_form)
-            l_con = content_loss(y, y1, cfg.loss_reduction)
-            total_g = adv_g + l_con
-            _check_finite("generator loss", total_g)
-            backward(total_g)
-            adam_step(g_params, _grads_of(g_params), adam_g)
-            g_params.zero_grad()
-            d_params.zero_grad()
+    def g_phase(y, x):
+        objective, adv_g, l_con = stage1_g_objective(nets, y, x, cfg)
+        return objective, adv_g, 0.0, l_con
 
-            rep = stage1_objective(loss_d.item(), adv_g.item(), l_con.item(),
-                                   iteration=it + 1)
-            reports.append(rep)
-            writer.report(rep)
-            ckpt = Checkpoint(stage=1, iteration=it + 1, config=cfg.as_dict(),
-                              params={"g1": g_params, "d1": d_params},
-                              adam={"g1": adam_g, "d1": adam_d},
-                              rng_state=_master_rng_state(cfg))
-            writer.maybe_checkpoint(ckpt)
-        if ckpt is not None:
-            writer.maybe_checkpoint(ckpt, final=True)
-    finally:
-        writer.close()
-    return ckpt, reports
+    return _alternate(store, cfg, out_dir, 1, start, params, adam,
+                      (("d1", d_phase), ("g1", g_phase)), lam=0.0)
 
 
 # -- stage 2 ------------------------------------------------------------------
@@ -358,9 +373,9 @@ def stage2_d_objective(nets, y, x, cfg, update_running=True):
     bn = dict(bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
     taps = cfg.tap_names(d_spec)
     with no_grad():
-        y1 = forward_generator(g1_spec, g1_params, x, update_running=False, **bn).video
+        y1 = forward_generator(g1_spec, g1_params, x, update_running=False, **bn)
         y2 = forward_generator(g2_spec, g2_params, y1,
-                               update_running=update_running, **bn).video
+                               update_running=update_running, **bn)
     d_real, feats_real = forward_discriminator(d_spec, d_params, y,
                                                update_running=update_running, **bn)
     d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2,
@@ -381,13 +396,13 @@ def stage2_g_objective(nets, y, x, cfg, update_running=True):
     bn = dict(bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
     taps = cfg.tap_names(d_spec)
     with no_grad():
-        y1 = forward_generator(g1_spec, g1_params, x, update_running=False, **bn).video
+        y1 = forward_generator(g1_spec, g1_params, x, update_running=False, **bn)
         _, feats_real = forward_discriminator(d_spec, d_params, y,
                                               update_running=update_running, **bn)
         _, feats_y1 = forward_discriminator(d_spec, d_params, y1,
                                             update_running=update_running, **bn)
     y2 = forward_generator(g2_spec, g2_params, y1,
-                           update_running=update_running, **bn).video
+                           update_running=update_running, **bn)
     d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2,
                                              update_running=update_running, **bn)
     adv_g = generator_adversarial(d_fake, cfg.adv_form)
@@ -397,15 +412,19 @@ def stage2_g_objective(nets, y, x, cfg, update_running=True):
     return objective, adv_g, rank, l_con
 
 
-def _clone_from_g1(g1_params):
-    return g1_params.clone()
+def _fingerprint(ps):
+    """Name, dtype, shape and bytes of each tensor and buffer of a parameter set."""
+    arrays = [(k, t.values) for k, t in sorted(ps.tensors.items())]
+    return [(k, a.dtype.str, a.shape, a.tobytes())
+            for k, a in arrays + sorted(ps.buffers.items())]
 
 
 def train_stage2(store, cfg, g1_checkpoint, out_dir=None, resume=None):
     """Refine-stage training per the two-phase procedure, with the stage-1
     generator frozen. ``g1_checkpoint`` supplies the trained stage-1
     parameters; G2 starts from them (identical shapes) unless
-    ``cfg.g2_init`` asks for a fresh draw."""
+    ``cfg.g2_init`` asks for a fresh draw. ``resume`` must carry that same
+    stage-1 generator."""
     cfg.validate()
     if g1_checkpoint is None:
         raise ConfigError("stage 2 requires a stage-1 checkpoint")
@@ -425,67 +444,33 @@ def train_stage2(store, cfg, g1_checkpoint, out_dir=None, resume=None):
     g2_spec = build_generator(2, cfg.resolution, cfg.width_multiplier)
     d_spec = build_discriminator(cfg.resolution, cfg.width_multiplier)
     g1_params = g1_checkpoint.params["g1"]
-    for t in g1_params.tensors.values():
-        t.requires_grad = False  # frozen: nothing may write a gradient into G1
-        t.grad = None
 
     if resume is not None:
         if resume.stage != 2:
             raise ConfigError(f"expected a stage-2 checkpoint, got stage {resume.stage}")
-        g2_params, d_params = resume.params["g2"], resume.params["d2"]
-        adam_g, adam_d = resume.adam["g2"], resume.adam["d2"]
-        start = resume.iteration
+        saved_g1 = resume.params.get("g1", ParameterSet())
+        if _fingerprint(saved_g1) != _fingerprint(g1_params):
+            raise ConfigError("the stage-2 checkpoint was trained on a different "
+                              "stage-1 generator than the one given")
+        params, adam, start = resume.params, resume.adam, resume.iteration
     else:
-        if cfg.g2_init == "g1":
-            g2_params = _clone_from_g1(g1_params)
-        else:
-            g2_params = init_parameters(g2_spec, _init_seed(cfg, 3))
-        d_params = init_parameters(d_spec, _init_seed(cfg, 4))
-        adam_g, adam_d = AdamState.fresh(g2_params, cfg), AdamState.fresh(d_params, cfg)
+        g2_params = (g1_params.clone() if cfg.g2_init == "g1"
+                     else init_parameters(g2_spec, _init_seed(cfg, 3)))
+        params = {"g1": g1_params, "g2": g2_params,
+                  "d2": init_parameters(d_spec, _init_seed(cfg, 4))}
+        adam = {net: AdamState.fresh(params[net], cfg) for net in ("g2", "d2")}
         start = 0
+    nets = (g1_spec, params["g1"], g2_spec, params["g2"], d_spec, params["d2"])
 
-    nets = (g1_spec, g1_params, g2_spec, g2_params, d_spec, d_params)
-    writer = _RunWriter(out_dir, cfg, stage=2, append=resume is not None)
-    reports = []
-    ckpt = None
-    try:
-        for it in range(start, cfg.iterations):
-            # (a) discriminator ascends: Adam on the negated objective
-            d_params.zero_grad()
-            y, x = load_batch(store, "train", cfg.batch_size, cfg.seed, 2 * it)
-            objective, loss_d, _ = stage2_d_objective(nets, y, x, cfg)
-            _check_finite("discriminator objective", objective)
-            backward(-objective)
-            adam_step(d_params, _grads_of(d_params), adam_d)
-            d_params.zero_grad()
+    def d_phase(y, x):
+        objective, loss_d, _ = stage2_d_objective(nets, y, x, cfg)
+        return -objective, loss_d
 
-            # (b) generator descends on a fresh batch
-            g2_params.zero_grad()
-            d_params.zero_grad()
-            y, x = load_batch(store, "train", cfg.batch_size, cfg.seed, 2 * it + 1)
-            total_g, adv_g, rank_g, l_con = stage2_g_objective(nets, y, x, cfg)
-            _check_finite("generator objective", total_g)
-            backward(total_g)
-            adam_step(g2_params, _grads_of(g2_params), adam_g)
-            g2_params.zero_grad()
-            d_params.zero_grad()
+    def g_phase(y, x):
+        return stage2_g_objective(nets, y, x, cfg)
 
-            rep = stage2_objective(loss_d.item(), adv_g.item(), l_con.item(),
-                                   rank_g.item(), lam=cfg.lambda_rank,
-                                   iteration=it + 1)
-            reports.append(rep)
-            writer.report(rep)
-            ckpt = Checkpoint(stage=2, iteration=it + 1, config=cfg.as_dict(),
-                              params={"g1": g1_params, "g2": g2_params,
-                                      "d2": d_params},
-                              adam={"g2": adam_g, "d2": adam_d},
-                              rng_state=_master_rng_state(cfg))
-            writer.maybe_checkpoint(ckpt)
-        if ckpt is not None:
-            writer.maybe_checkpoint(ckpt, final=True)
-    finally:
-        writer.close()
-    return ckpt, reports
+    return _alternate(store, cfg, out_dir, 2, start, params, adam,
+                      (("d2", d_phase), ("g2", g_phase)), lam=cfg.lambda_rank)
 
 
 # -- generation ---------------------------------------------------------------
@@ -506,8 +491,8 @@ def generate_video(ckpt, first_frame):
     with no_grad():
         x = duplicate_frame(first_frame, CLIP_LEN)
         g1_spec = build_generator(1, res, cfg.width_multiplier)
-        video = forward_generator(g1_spec, ckpt.params["g1"], x, **bn).video
+        video = forward_generator(g1_spec, ckpt.params["g1"], x, **bn)
         if ckpt.stage == 2:
             g2_spec = build_generator(2, res, cfg.width_multiplier)
-            video = forward_generator(g2_spec, ckpt.params["g2"], video, **bn).video
+            video = forward_generator(g2_spec, ckpt.params["g2"], video, **bn)
     return video

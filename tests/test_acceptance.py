@@ -165,7 +165,7 @@ def test_criterion_02_gradient_suite():
 
     def composite(v):
         y = forward_generator(g2_spec, gp, v, update_running=False)
-        score, _ = forward_discriminator(d_spec, dp64, y.video,
+        score, _ = forward_discriminator(d_spec, dp64, y,
                                          update_running=False)
         return T.log(score).sum()
 
@@ -179,7 +179,7 @@ def test_criterion_02_gradient_suite():
 
     def refine_objective(v):
         gp.tensors[bias_name] = v
-        y2 = forward_generator(g2_spec, gp, y1_in, update_running=False).video
+        y2 = forward_generator(g2_spec, gp, y1_in, update_running=False)
         d_fake, feats_y2 = forward_discriminator(d_spec, dp64, y2,
                                                  update_running=False)
         with T.no_grad():

@@ -83,6 +83,19 @@ class TestTrain:
         assert "seed = 11" in echo            # flag beats file
         assert "width_multiplier = 0.125" in echo
 
+    def test_stage2_resume_with_other_g1_exit_2(self, workspace, tmp_path):
+        common = ["--store", str(workspace["store"]), "--resolution", "64",
+                  "--width-multiplier", "0.125", "--batch-size", "2",
+                  "--log-every", "100", "--checkpoint-every", "1000"]
+        other = tmp_path / "other"
+        assert main(["train-stage1", "--out", str(other), "--iterations", "1",
+                     "--seed", "1"] + common) == 0
+        code = main(["train-stage2", "--out", str(tmp_path / "r2"),
+                     "--g1-checkpoint", str(other / "stage1_final.mdck"),
+                     "--resume", str(workspace["g2"]), "--iterations", "3",
+                     "--seed", "0"] + common)
+        assert code == 2
+
     def test_missing_g1_checkpoint_exit_3(self, workspace, tmp_path):
         code = main(["train-stage2", "--store", str(workspace["store"]),
                      "--out", str(tmp_path / "r"),

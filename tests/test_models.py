@@ -186,8 +186,8 @@ class TestForwardGenerator:
         rng = np.random.default_rng(3)
         x = Tensor(rng.uniform(-1, 1, size=(2, 3, 32, 64, 64)).astype(np.float32))
         out = forward_generator(spec, params, x)
-        assert out.video.shape == x.shape
-        assert np.all(out.video.values > -1.0) and np.all(out.video.values < 1.0)
+        assert out.shape == x.shape
+        assert np.all(out.values > -1.0) and np.all(out.values < 1.0)
 
     def test_zero_weights_still_finite(self):
         spec, params = tiny_generator()
@@ -196,19 +196,13 @@ class TestForwardGenerator:
                 t.values[...] = 0.0
         x = Tensor(np.zeros((2, 3, 32, 64, 64), dtype=np.float32))
         out = forward_generator(spec, params, x)
-        assert np.all(np.isfinite(out.video.values))
+        assert np.all(np.isfinite(out.values))
 
     def test_shape_mismatch_rejected(self):
         spec, params = tiny_generator()
         with pytest.raises(DimensionError):
             forward_generator(spec, params,
                               Tensor(np.zeros((1, 3, 32, 32, 32), dtype=np.float32)))
-
-    def test_activation_cache(self):
-        spec, params = tiny_generator()
-        x = Tensor(np.zeros((2, 3, 32, 64, 64), dtype=np.float32))
-        out = forward_generator(spec, params, x, cache_activations=True)
-        assert set(out.activations) == {l.name for l in spec.layers}
 
 
 class TestForwardDiscriminator:
@@ -250,7 +244,7 @@ class TestEndToEnd:
 
         def f(v):
             y = forward_generator(gspec, gp, v, update_running=False)
-            score, _ = forward_discriminator(dspec, dp, y.video,
+            score, _ = forward_discriminator(dspec, dp, y,
                                              update_running=False)
             return T.log(score).sum()
 

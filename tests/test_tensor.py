@@ -62,12 +62,6 @@ class TestElementwise:
         T.backward(T.clamp(x, -1.0, 1.0).sum())
         assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
-    def test_dispatcher(self):
-        out = T.elementwise("mul", f64([2.0]), 3.0)
-        assert out.item() == 6.0
-        with pytest.raises(ContractError):
-            T.elementwise("div", f64([2.0]), 3.0)
-
 
 class TestReduce:
     def test_sum_all(self):

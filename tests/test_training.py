@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -57,6 +61,22 @@ class TestAdam:
         with pytest.raises(TrainingDiverged):
             adam_step(ps, {"w": np.array([np.nan], np.float32)}, st)
 
+    def test_non_finite_gradient_changes_nothing(self):
+        ps = param_set({"a": [1.0, -1.0], "b": [2.0]})
+        st = AdamState.fresh(ps, desk_config())
+        adam_step(ps, {"a": np.float32([0.5, 0.25]), "b": np.float32([1.0])}, st)
+        values = {k: t.values.copy() for k, t in ps.tensors.items()}
+        m = {k: a.copy() for k, a in st.m.items()}
+        v = {k: a.copy() for k, a in st.v.items()}
+        with pytest.raises(TrainingDiverged):
+            adam_step(ps, {"a": np.float32([0.5, 0.25]),
+                           "b": np.float32([np.nan])}, st)
+        assert st.t == 1
+        for k in ("a", "b"):
+            assert_array_equal(ps.tensors[k].values, values[k])
+            assert_array_equal(st.m[k], m[k])
+            assert_array_equal(st.v[k], v[k])
+
 
 class TestCheckpointIO:
     def make_ckpt(self):
@@ -66,8 +86,7 @@ class TestCheckpointIO:
         st.t = 7
         st.m["conv.weight"][...] = 0.25
         return Checkpoint(stage=1, iteration=42, config=desk_config().as_dict(),
-                          params={"g1": ps}, adam={"g1": st},
-                          rng_state={"bit_generator": "PCG64"})
+                          params={"g1": ps}, adam={"g1": st})
 
     def test_save_load_save_bitwise(self, tmp_path):
         p1, p2 = tmp_path / "a.mdck", tmp_path / "b.mdck"
@@ -86,6 +105,21 @@ class TestCheckpointIO:
                            np.full((2, 3), 0.25, np.float32))
         assert_array_equal(back.params["g1"].buffers["conv.running_mean"],
                            np.float32([0.1, 0.2]))
+
+    def test_reads_meta_with_rng_state(self, tmp_path):
+        """Files whose meta still carries the retired rng_state key load."""
+        p = tmp_path / "r.mdck"
+        save_checkpoint(self.make_ckpt(), p)
+        payload = p.read_bytes()[12:]
+        n, = struct.unpack("<I", payload[:4])
+        meta = json.loads(payload[4:4 + n])
+        meta["rng_state"] = {"bit_generator": "PCG64"}
+        raw_meta = json.dumps(meta, sort_keys=True).encode()
+        payload = struct.pack("<I", len(raw_meta)) + raw_meta + payload[4 + n:]
+        p.write_bytes(b"MDCK" + struct.pack("<II", 2, zlib.crc32(payload)) + payload)
+        back = load_checkpoint(p)
+        assert back.stage == 1 and back.iteration == 42
+        assert back.adam["g1"].t == 7
 
     def test_truncated_rejected(self, tmp_path):
         p = tmp_path / "t.mdck"
@@ -180,6 +214,18 @@ class TestStage1:
                 assert_array_equal(b, resumed.params[net].buffers[k])
             assert straight.adam[net].t == resumed.adam[net].t
 
+    def test_resume_drops_rows_past_checkpoint(self, store64, tmp_path):
+        straight, crashed = tmp_path / "straight", tmp_path / "crashed"
+        train_stage1(store64, desk_config(iterations=4), out_dir=straight)
+        # checkpoint at 2, then a run that stops at 3 without one
+        train_stage1(store64, desk_config(iterations=3, checkpoint_every=2),
+                     out_dir=crashed)
+        train_stage1(store64, desk_config(iterations=4, checkpoint_every=2),
+                     out_dir=crashed,
+                     resume=load_checkpoint(crashed / "stage1_iter000002.mdck"))
+        assert ((crashed / "losses.csv").read_bytes()
+                == (straight / "losses.csv").read_bytes())
+
 
 class TestStage2:
     def test_runs_and_g1_frozen(self, store64, stage1_ckpt):
@@ -194,6 +240,42 @@ class TestStage2:
         for rep in reports:
             assert np.isfinite([rep.adv_d, rep.adv_g, rep.content, rep.rank]).all()
             rep.check_totals()
+
+    def test_leaves_caller_g1_trainable(self, store64, tmp_path):
+        ck1, _ = train_stage1(store64, desk_config(iterations=2))
+        p = tmp_path / "ck1.mdck"
+        save_checkpoint(ck1, p)
+        train_stage2(store64, desk_config(iterations=1), ck1)
+        assert all(t.requires_grad for t in ck1.params["g1"].tensors.values())
+        in_memory, _ = train_stage1(store64, desk_config(iterations=3), resume=ck1)
+        from_disk, _ = train_stage1(store64, desk_config(iterations=3),
+                                    resume=load_checkpoint(p))
+        for net in ("g1", "d1"):
+            for k, t in from_disk.params[net].tensors.items():
+                assert_array_equal(t.values, in_memory.params[net].tensors[k].values)
+
+    def test_resume_matches_uninterrupted(self, store64, stage1_ckpt, tmp_path):
+        straight, _ = train_stage2(store64, desk_config(iterations=4), stage1_ckpt)
+        part, _ = train_stage2(store64, desk_config(iterations=2), stage1_ckpt)
+        p = tmp_path / "part.mdck"
+        save_checkpoint(part, p)
+        resumed, _ = train_stage2(store64, desk_config(iterations=4), stage1_ckpt,
+                                  resume=load_checkpoint(p))
+        for net in ("g2", "d2"):
+            for k, t in straight.params[net].tensors.items():
+                assert_array_equal(t.values, resumed.params[net].tensors[k].values)
+            for k, b in straight.params[net].buffers.items():
+                assert_array_equal(b, resumed.params[net].buffers[k])
+            for k in straight.adam[net].m:
+                assert_array_equal(straight.adam[net].m[k], resumed.adam[net].m[k])
+                assert_array_equal(straight.adam[net].v[k], resumed.adam[net].v[k])
+            assert straight.adam[net].t == resumed.adam[net].t
+
+    def test_resume_with_other_g1_rejected(self, store64, stage1_ckpt):
+        part, _ = train_stage2(store64, desk_config(iterations=1), stage1_ckpt)
+        other, _ = train_stage1(store64, desk_config(iterations=1))
+        with pytest.raises(ConfigError):
+            train_stage2(store64, desk_config(iterations=2), other, resume=part)
 
     def test_gradient_flow_isolation(self, store64, stage1_ckpt):
         cfg = desk_config()
@@ -244,6 +326,36 @@ class TestStage2:
         ckpt, _ = train_stage2(store64, desk_config(iterations=1, g2_init="fresh"),
                                stage1_ckpt)
         assert ckpt.iteration == 1
+
+
+class TestLossTrajectory:
+    """The first losses.csv rows of a desk-scale run of each stage, pinned to
+    what the separate stage-1 and stage-2 loops wrote before they shared
+    one loop."""
+
+    STAGE1 = [
+        [1, 1.390668272972107, -0.2574285566806793, 0.43129754066467285, 0.0,
+         0.17386898398399353, 1.390668272972107],
+        [2, 1.5886778831481934, -0.1748412847518921, 0.3131225109100342, 0.0,
+         0.1382812261581421, 1.5886778831481934],
+        [3, 1.4315540790557861, -0.38830631971359253, 0.43017372488975525, 0.0,
+         0.04186740517616272, 1.4315540790557861],
+    ]
+    STAGE2 = [
+        [1, 1.1791231632232666, -0.4805848002433777, 0.43146172165870667,
+         29.353750228881836, 29.304627150297165, -28.17462706565857],
+        [2, 1.7110099792480469, -0.4617663025856018, 0.3093153238296509,
+         18.73925018310547, 18.586799204349518, -17.028240203857422],
+        [3, 0.8856030106544495, -0.24633166193962097, 0.43058040738105774,
+         31.93450927734375, 32.11875802278519, -31.0489062666893],
+    ]
+
+    def test_first_rows(self, store64, tmp_path):
+        ck1, _ = train_stage1(store64, desk_config(iterations=3), out_dir=tmp_path / "s1")
+        train_stage2(store64, desk_config(iterations=3), ck1, out_dir=tmp_path / "s2")
+        for run, want in (("s1", self.STAGE1), ("s2", self.STAGE2)):
+            rows = np.loadtxt(tmp_path / run / "losses.csv", delimiter=",", skiprows=1)
+            assert_allclose(rows, want, rtol=1e-5)
 
 
 def direction_probe(store, stage1_ckpt, seed, step=1e-4):
