@@ -5,10 +5,20 @@ Convolutions are cross-correlations (no kernel flip) computed as im2col +
 GEMM; the transposed convolution is the exact adjoint of the forward
 convolution with respect to its input, so the pair shares the col/im
 rearrangement helpers. Volumes are (N, C, T, H, W).
+
+The rearrangement works on a stride-phase grid (space-to-depth, Shi et al.,
+arXiv:1609.07009): the zero-padded volume is stored as
+(N, C, st, sh, sw, Tq, Hq, Wq), phase (i, j, l) holding every padded voxel
+whose index is (i, j, l) modulo the stride. Kernel tap (a, b, d) then reads or
+scatter-adds one unit-stride block of phase (a%st, b%sh, d%sw) at offset
+(a//st, b//sh, d//sw), instead of striding over the padded volume on every
+axis. Taps are visited in (kt, kh, kw) order, so each voxel of a scatter
+receives its additions in that fixed order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -69,36 +79,79 @@ def deconv_output_shape(spatial, params):
                  zip(spatial, params.kernel, params.stride, params.padding))
 
 
-def _im2col(xp, kernel, stride, out_spatial):
-    """Gather kernel windows of a padded (N,C,Tp,Hp,Wp) volume into
-    (N, C*kt*kh*kw, To*Ho*Wo), window-major in (C, kt, kh, kw) order."""
-    n, c = xp.shape[:2]
-    kt, kh, kw = kernel
-    st, sh, sw = stride
-    to, ho, wo = out_spatial
-    cols = np.empty((n, c, kt, kh, kw, to, ho, wo), dtype=xp.dtype)
-    for a in range(kt):
-        for b in range(kh):
-            for d in range(kw):
-                cols[:, :, a, b, d] = xp[:, :, a:a + st * to:st,
-                                         b:b + sh * ho:sh, d:d + sw * wo:sw]
-    return cols.reshape(n, c * kt * kh * kw, to * ho * wo)
+def _phase_extents(spatial, stride, padding):
+    """Per-axis extent of one stride phase of a zero-padded volume."""
+    return tuple(-(-(n + 2 * p) // s) for n, s, p in zip(spatial, stride, padding))
 
 
-def _col2im(cols, channels, kernel, stride, in_spatial, padded_spatial, dtype):
-    """Scatter-add the inverse of ``_im2col`` back into a padded volume."""
+def _phase_slices(spatial, stride, padding):
+    """Yield (grid index, volume index) pairs, one per stride phase, that place
+    a (N,C,*spatial) volume inside its zero-padded phase grid."""
+    axes = []
+    for n, s, p in zip(spatial, stride, padding):
+        axis = []
+        for i in range(s):
+            first = (i - p) % s  # first voxel whose padded index is i mod s
+            q = (first + p) // s
+            axis.append((i, slice(q, q + len(range(first, n, s))), slice(first, n, s)))
+        axes.append(axis)
+    for (i, qt, vt), (j, qh, vh), (l, qw, vw) in product(*axes):
+        yield (slice(None), slice(None), i, j, l, qt, qh, qw), (Ellipsis, vt, vh, vw)
+
+
+def _to_phases(v, stride, padding):
+    """Zero-pad a (N,C,T,H,W) volume and split it by stride phase into a
+    (N, C, st, sh, sw, Tq, Hq, Wq) grid: phase (i,j,l) at (tq,hq,wq) holds the
+    padded voxel (i + st*tq, j + sh*hq, l + sw*wq)."""
+    grid = np.zeros(v.shape[:2] + tuple(stride)
+                    + _phase_extents(v.shape[2:], stride, padding), dtype=v.dtype)
+    for gi, vi in _phase_slices(v.shape[2:], stride, padding):
+        grid[gi] = v[vi]
+    return grid
+
+
+def _from_phases(grid, spatial, stride, padding):
+    """The unpadded (N,C,*spatial) volume of a phase grid; inverse of ``_to_phases``."""
+    v = np.empty(grid.shape[:2] + tuple(spatial), dtype=grid.dtype)
+    for gi, vi in _phase_slices(spatial, stride, padding):
+        v[vi] = grid[gi]
+    return v
+
+
+def _tap(stride, kernel_offset, extents):
+    """Phase-grid index of kernel tap (a,b,d) over ``extents`` window origins:
+    one unit-stride block of phase (a%st, b%sh, d%sw)."""
+    phase = tuple(k % s for k, s in zip(kernel_offset, stride))
+    blocks = tuple(slice(k // s, k // s + e)
+                   for k, s, e in zip(kernel_offset, stride, extents))
+    return (slice(None), slice(None)) + phase + blocks
+
+
+def _im2col(grid, kernel, stride, out_spatial):
+    """Gather kernel windows of a phase grid into (N, C*kt*kh*kw, To*Ho*Wo),
+    window-major in (C, kt, kh, kw) order."""
+    n, c = grid.shape[:2]
+    cols = np.empty((n, c) + tuple(kernel) + tuple(out_spatial), dtype=grid.dtype)
+    for a, b, d in np.ndindex(*kernel):
+        cols[:, :, a, b, d] = grid[_tap(stride, (a, b, d), out_spatial)]
+    return cols.reshape(n, c * int(np.prod(kernel)), -1)
+
+
+def _col2im(cols, channels, kernel, stride, in_spatial, phase_extents, dtype):
+    """Scatter-add the inverse of ``_im2col`` into a zeroed phase grid, tap by
+    tap in (kt, kh, kw) order."""
     n = cols.shape[0]
-    kt, kh, kw = kernel
-    st, sh, sw = stride
-    to, ho, wo = in_spatial
-    cols = cols.reshape(n, channels, kt, kh, kw, to, ho, wo)
-    out = np.zeros((n, channels) + tuple(padded_spatial), dtype=dtype)
-    for a in range(kt):
-        for b in range(kh):
-            for d in range(kw):
-                out[:, :, a:a + st * to:st, b:b + sh * ho:sh,
-                    d:d + sw * wo:sw] += cols[:, :, a, b, d]
-    return out
+    cols = cols.reshape((n, channels) + tuple(kernel) + tuple(in_spatial))
+    grid = np.zeros((n, channels) + tuple(stride) + tuple(phase_extents), dtype=dtype)
+    for a, b, d in np.ndindex(*kernel):
+        grid[_tap(stride, (a, b, d), in_spatial)] += cols[:, :, a, b, d]
+    return grid
+
+
+def _batch_sum(per_sample):
+    """Sum of per-sample weight gradients. For one sample, ``sum`` would only
+    compute 0 + g, which ``_accumulate`` does anyway, so the copy is skipped."""
+    return per_sample[0] if len(per_sample) == 1 else per_sample.sum(axis=0)
 
 
 def _check_volume(x, what):
@@ -122,12 +175,14 @@ def conv3d(x, weight, bias, params):
         raise DimensionError(f"bias shape {bias.shape} != ({c_out},)")
 
     n = x.shape[0]
-    out_spatial = conv_output_shape(x.shape[2:], params)
-    pt, ph, pw = params.padding
-    xp = np.pad(x.values, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    cols = _im2col(xp, params.kernel, params.stride, out_spatial)
+    in_spatial = x.shape[2:]
+    out_spatial = conv_output_shape(in_spatial, params)
+    stride, padding = params.stride, params.padding
+    cols = _im2col(_to_phases(x.values, stride, padding), params.kernel, stride,
+                   out_spatial)
     w_mat = weight.values.reshape(c_out, -1)
-    out = w_mat[None] @ cols + bias.values[None, :, None]
+    out = w_mat[None] @ cols
+    out += bias.values[None, :, None]
     out = out.reshape((n, c_out) + out_spatial)
 
     def backward(g):
@@ -135,15 +190,13 @@ def conv3d(x, weight, bias, params):
         if bias.requires_grad:
             _accumulate(bias, g_mat.sum(axis=(0, 2)))
         if weight.requires_grad:
-            dw = (g_mat @ cols.transpose(0, 2, 1)).sum(axis=0)
+            dw = _batch_sum(g_mat @ cols.transpose(0, 2, 1))
             _accumulate(weight, dw.reshape(weight.values.shape))
         if x.requires_grad:
             dcols = w_mat.T[None] @ g_mat
-            dxp = _col2im(dcols, c_in, params.kernel, params.stride,
-                          out_spatial, xp.shape[2:], g.dtype)
-            tp, hp, wp = xp.shape[2:]
-            _accumulate(x, dxp[:, :, pt:tp - pt, ph:hp - ph,
-                              pw:wp - pw])
+            grid = _col2im(dcols, c_in, params.kernel, stride, out_spatial,
+                           _phase_extents(in_spatial, stride, padding), g.dtype)
+            _accumulate(x, _from_phases(grid, in_spatial, stride, padding))
 
     return Tensor._from_op(out, (x, weight, bias), backward, "conv3d")
 
@@ -167,33 +220,29 @@ def deconv3d(x, weight, bias, params):
     n = x.shape[0]
     in_spatial = x.shape[2:]
     out_spatial = deconv_output_shape(in_spatial, params)
-    pt, ph, pw = params.padding
-    padded_spatial = tuple((m - 1) * s + k for m, s, k in
-                           zip(in_spatial, params.stride, params.kernel))
+    stride, padding = params.stride, params.padding
 
     x_mat = x.values.reshape(n, c_in, -1)
     w_mat = weight.values.reshape(c_in, -1)  # (C_in, C_out*K)
     cols = w_mat.T[None] @ x_mat  # (N, C_out*K, L_in)
-    full = _col2im(cols, c_out, params.kernel, params.stride,
-                   in_spatial, padded_spatial, x.values.dtype)
-    tp, hp, wp = padded_spatial
-    out = full[:, :, pt:tp - pt, ph:hp - ph, pw:wp - pw]
-    out = out + bias.values[None, :, None, None, None]
+    grid = _col2im(cols, c_out, params.kernel, stride, in_spatial,
+                   _phase_extents(out_spatial, stride, padding), x.values.dtype)
+    out = _from_phases(grid, out_spatial, stride, padding)
+    out += bias.values[None, :, None, None, None]
 
     def backward(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-        gcols = _im2col(gp, params.kernel, params.stride, in_spatial)
+        gcols = _im2col(_to_phases(g, stride, padding), params.kernel, stride,
+                        in_spatial)
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3, 4)))
         if weight.requires_grad:
-            dw = (x_mat @ gcols.transpose(0, 2, 1)).sum(axis=0)
+            dw = _batch_sum(x_mat @ gcols.transpose(0, 2, 1))
             _accumulate(weight, dw.reshape(weight.values.shape))
         if x.requires_grad:
             dx = w_mat[None] @ gcols
             _accumulate(x, dx.reshape(x.values.shape))
 
-    return Tensor._from_op(np.ascontiguousarray(out), (x, weight, bias),
-                           backward, "deconv3d")
+    return Tensor._from_op(out, (x, weight, bias), backward, "deconv3d")
 
 
 @dataclass
@@ -284,11 +333,14 @@ def activation(kind, x):
     v = x.values
     dt = v.dtype
     if kind == "leaky_relu":
-        out = np.where(v >= 0, v, dt.type(LEAKY_SLOPE) * v)
-        slope = np.where(v >= 0, dt.type(1), dt.type(LEAKY_SLOPE))
+        # with 0 < slope < 1, max(v, slope*v) is v where v >= 0 and slope*v
+        # elsewhere, NaN included, and max(mask, slope) is the per-element slope
+        slope = dt.type(LEAKY_SLOPE)
+        mask = v >= 0
+        out = np.maximum(v, slope * v)
 
         def backward(g):
-            _accumulate(x, g * slope)
+            _accumulate(x, g * np.maximum(mask, slope))
     elif kind == "relu":
         out = np.maximum(v, dt.type(0))
         mask = v > 0

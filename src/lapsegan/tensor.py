@@ -160,9 +160,10 @@ def as_tensor(x, dtype=None):
 
 def _accumulate(t, g):
     if t.requires_grad:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.values)
-        t.grad += g
+        if t.grad is None:  # 0 + g in one pass: -0.0 becomes +0.0, as in a zeroed sum
+            t.grad = np.add(g, t.values.dtype.type(0), out=np.empty_like(t.values))
+        else:
+            t.grad += g
 
 
 def _binary_operands(a, b):
@@ -485,7 +486,7 @@ def write_array(fp, arr):
     fp.write(struct.pack("<I", arr.ndim))
     fp.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
     fp.write(struct.pack("B", code))
-    fp.write(arr.astype(_DTYPE_BY_CODE[code], copy=False).tobytes(order="C"))
+    fp.write(arr.astype(_DTYPE_BY_CODE[code], copy=False).reshape(-1).data)
 
 
 def _read_exact(fp, n, what):
@@ -497,7 +498,7 @@ def _read_exact(fp, n, what):
 
 def read_array(fp):
     """Read one array written by ``write_array``."""
-    magic = _read_exact(fp, 4, "magic")
+    magic = bytes(_read_exact(fp, 4, "magic"))
     if magic != _MAGIC:
         raise IntegrityError(f"bad tensor magic {magic!r}")
     rank, = struct.unpack("<I", _read_exact(fp, 4, "rank"))

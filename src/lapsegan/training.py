@@ -14,7 +14,6 @@ resumed run replays the exact stream of an uninterrupted one.
 """
 from __future__ import annotations
 
-import io
 import json
 import struct
 import zlib
@@ -63,12 +62,17 @@ class AdamState:
                    beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps, lr=cfg.lr)
 
 
+_ADAM_CHUNK = 1 << 15  # elements per Adam chunk: ~6 arrays of it stay in L2
+
+
 def adam_step(params, grads, state):
     """One bias-corrected Adam update, in place on the parameter values.
 
     ``grads`` maps parameter names to arrays; parameters absent from it
     receive a zero gradient. A non-finite gradient aborts the update before
-    any parameter or moment changes.
+    any parameter or moment changes. The update runs chunk by chunk in two
+    scratch buffers, each element through the same float operations in the
+    same order, so the chunk size changes no bit of the result.
     """
     full = {}
     for name, tensor in params.tensors.items():
@@ -83,17 +87,27 @@ def adam_step(params, grads, state):
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, tensor in params.tensors.items():
-        g = full[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        mhat = m / m.dtype.type(c1)
-        vhat = v / v.dtype.type(c2)
-        tensor.values -= (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(
-            tensor.values.dtype)
+        m, v = state.m[name], state.v[name]
+        chunks = np.nditer([full[name], m, v, tensor.values],
+                           flags=["external_loop", "buffered", "zerosize_ok"],
+                           op_flags=[["readonly"], ["readwrite"], ["readwrite"],
+                                     ["readwrite"]],
+                           buffersize=_ADAM_CHUNK)
+        scratch = np.empty((2, _ADAM_CHUNK), dtype=m.dtype)
+        with chunks:
+            for g, mc, vc, pc in chunks:
+                step, denom = scratch[0, :g.size], scratch[1, :g.size]
+                mc *= b1
+                mc += np.multiply(g, 1.0 - b1, out=step)
+                vc *= b2
+                vc += np.multiply(np.multiply(g, g, out=denom), 1.0 - b2, out=denom)
+                np.divide(mc, m.dtype.type(c1), out=step)       # mhat
+                np.divide(vc, v.dtype.type(c2), out=denom)      # vhat
+                np.sqrt(denom, out=denom)
+                denom += state.eps
+                step *= state.lr
+                step /= denom
+                pc -= step.astype(pc.dtype, copy=False)
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -113,9 +127,37 @@ class Checkpoint:
         return config_from_dict(self.config)
 
 
+class _CrcWriter:
+    """Pass-through writer that keeps the running CRC32 of what it wrote."""
+
+    def __init__(self, fp):
+        self.fp = fp
+        self.crc = 0
+
+    def write(self, data):
+        self.crc = zlib.crc32(data, self.crc)
+        self.fp.write(data)
+
+
+class _BufferReader:
+    """``read(n)`` over a memoryview, returning slices that share its memory."""
+
+    def __init__(self, buf):
+        self.buf = buf
+        self.pos = 0
+
+    def read(self, n):
+        out = self.buf[self.pos:self.pos + n]
+        self.pos += len(out)
+        return out
+
+
 def save_checkpoint(ckpt, path):
     """Write magic, version, CRC32 of the payload, then the payload: a JSON
-    meta block and named tensor blocks in the binary tensor format."""
+    meta block and named tensor blocks in the binary tensor format.
+
+    The file is streamed to a temporary file beside ``path`` and renamed over
+    it once whole, so a failed save leaves any earlier file untouched."""
     meta = {
         "stage": ckpt.stage,
         "iteration": ckpt.iteration,
@@ -124,11 +166,6 @@ def save_checkpoint(ckpt, path):
                        "eps": st.eps, "lr": st.lr}
                  for net, st in ckpt.adam.items()},
     }
-    body = io.BytesIO()
-    meta_raw = json.dumps(meta, sort_keys=True).encode()
-    body.write(struct.pack("<I", len(meta_raw)))
-    body.write(meta_raw)
-
     blocks = []
     for net in sorted(ckpt.params):
         ps = ckpt.params[net]
@@ -141,19 +178,29 @@ def save_checkpoint(ckpt, path):
         for name in sorted(st.m):
             blocks.append((f"{net}/adam_m/{name}", st.m[name]))
             blocks.append((f"{net}/adam_v/{name}", st.v[name]))
-    body.write(struct.pack("<I", len(blocks)))
-    for name, arr in blocks:
-        raw = name.encode()
-        body.write(struct.pack("<H", len(raw)))
-        body.write(raw)
-        write_array(body, arr)
 
-    payload = body.getvalue()
-    with open(path, "wb") as fp:
-        fp.write(CHECKPOINT_MAGIC)
-        fp.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fp.write(struct.pack("<I", zlib.crc32(payload)))
-        fp.write(payload)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fp:
+            fp.write(CHECKPOINT_MAGIC)
+            fp.write(struct.pack("<II", CHECKPOINT_VERSION, 0))  # CRC written last
+            body = _CrcWriter(fp)
+            meta_raw = json.dumps(meta, sort_keys=True).encode()
+            body.write(struct.pack("<I", len(meta_raw)))
+            body.write(meta_raw)
+            body.write(struct.pack("<I", len(blocks)))
+            for name, arr in blocks:
+                raw = name.encode()
+                body.write(struct.pack("<H", len(raw)))
+                body.write(raw)
+                write_array(body, arr)
+            fp.seek(8)
+            fp.write(struct.pack("<I", body.crc))
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -161,23 +208,21 @@ def load_checkpoint(path):
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise IntegrityError(f"{path}: not a checkpoint (bad magic)")
-    version, = struct.unpack("<I", raw[4:8])
+    version, crc = struct.unpack("<II", raw[4:12])
     if version != CHECKPOINT_VERSION:
         raise UnsupportedVersionError(
             f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    crc, = struct.unpack("<I", raw[8:12])
-    payload = raw[12:]
-    if zlib.crc32(payload) != crc:
+    body = _BufferReader(memoryview(raw)[12:])
+    if zlib.crc32(body.buf) != crc:
         raise IntegrityError(f"{path}: checksum mismatch (corrupt or truncated)")
 
-    body = io.BytesIO(payload)
     meta_len, = struct.unpack("<I", body.read(4))
-    meta = json.loads(body.read(meta_len).decode())
+    meta = json.loads(bytes(body.read(meta_len)))
     n_blocks, = struct.unpack("<I", body.read(4))
     params, adam_arrays = {}, {}
     for _ in range(n_blocks):
         name_len, = struct.unpack("<H", body.read(2))
-        name = body.read(name_len).decode()
+        name = bytes(body.read(name_len)).decode()
         arr = read_array(body)
         net, kind, pname = name.split("/", 2)
         if kind == "param":
@@ -200,6 +245,22 @@ def load_checkpoint(path):
 
 
 # -- shared training plumbing -------------------------------------------------
+
+
+_RESUME_MAY_CHANGE = ("iterations", "checkpoint_every", "log_every")
+
+
+def _check_resume(resume, stage, cfg):
+    """A resume continues the same run: the checkpoint is of this stage and
+    its config equals ``cfg`` in every key but the schedule lengths."""
+    if resume.stage != stage:
+        raise ConfigError(f"expected a stage-{stage} checkpoint, got stage {resume.stage}")
+    saved = resume.run_config().as_dict()
+    differ = [f"{k} ({saved[k]!r} -> {v!r})" for k, v in cfg.as_dict().items()
+              if k not in _RESUME_MAY_CHANGE and saved[k] != v]
+    if differ:
+        raise ConfigError("config differs from the resumed checkpoint's in "
+                          + ", ".join(differ))
 
 
 def _init_seed(cfg, tag):
@@ -254,7 +315,9 @@ def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, lam):
     ``phases`` holds the discriminator, then the generator phase, as (network,
     objective); ``objective(y, x)`` returns the loss that network descends,
     then its report terms: adv_d, then adv_g, rank and content. Each phase
-    draws its own batch. Returns (final Checkpoint, list of LossReports).
+    draws its own batch, and while it runs the other phase's network does not
+    require grad, so backward computes no gradient that Adam would discard.
+    Returns (final Checkpoint, list of LossReports).
     """
     writer = _RunWriter(out_dir, cfg, stage, start)
     reports, ckpt = [], None
@@ -262,14 +325,23 @@ def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, lam):
         for it in range(start, cfg.iterations):
             terms = []
             for k, (net, objective) in enumerate(phases):
-                y, x = load_batch(store, "train", cfg.batch_size, cfg.seed, 2 * it + k)
-                loss, *parts = objective(y, x)
-                if not np.all(np.isfinite(loss.values)):
-                    raise TrainingDiverged(f"non-finite loss for {net}")
-                backward(loss)
-                grads = {name: t.grad for name, t in params[net].tensors.items()
-                         if t.grad is not None}
-                adam_step(params[net], grads, adam[net])
+                frozen = [t for other, _ in phases if other != net
+                          for t in params[other].tensors.values()]
+                for t in frozen:
+                    t.requires_grad = False
+                try:
+                    y, x = load_batch(store, "train", cfg.batch_size, cfg.seed,
+                                      2 * it + k)
+                    loss, *parts = objective(y, x)
+                    if not np.all(np.isfinite(loss.values)):
+                        raise TrainingDiverged(f"non-finite loss for {net}")
+                    backward(loss)
+                    grads = {name: t.grad for name, t in params[net].tensors.items()
+                             if t.grad is not None}
+                    adam_step(params[net], grads, adam[net])
+                finally:
+                    for t in frozen:
+                        t.requires_grad = True
                 for other, _ in phases:
                     params[other].zero_grad()
                 terms += [t.item() if isinstance(t, Tensor) else t for t in parts]
@@ -331,8 +403,7 @@ def train_stage1(store, cfg, out_dir=None, resume=None):
     d_spec = build_discriminator(cfg.resolution, cfg.width_multiplier)
 
     if resume is not None:
-        if resume.stage != 1:
-            raise ConfigError(f"expected a stage-1 checkpoint, got stage {resume.stage}")
+        _check_resume(resume, 1, cfg)
         params, adam, start = resume.params, resume.adam, resume.iteration
     else:
         params = {"g1": init_parameters(g_spec, _init_seed(cfg, 1)),
@@ -446,8 +517,7 @@ def train_stage2(store, cfg, g1_checkpoint, out_dir=None, resume=None):
     g1_params = g1_checkpoint.params["g1"]
 
     if resume is not None:
-        if resume.stage != 2:
-            raise ConfigError(f"expected a stage-2 checkpoint, got stage {resume.stage}")
+        _check_resume(resume, 2, cfg)
         saved_g1 = resume.params.get("g1", ParameterSet())
         if _fingerprint(saved_g1) != _fingerprint(g1_params):
             raise ConfigError("the stage-2 checkpoint was trained on a different "

@@ -96,6 +96,20 @@ class TestTrain:
                      "--seed", "0"] + common)
         assert code == 2
 
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_resume_with_other_seed_exit_2(self, workspace, tmp_path, stage):
+        common = ["--store", str(workspace["store"]), "--resolution", "64",
+                  "--width-multiplier", "0.125", "--batch-size", "2",
+                  "--log-every", "100", "--checkpoint-every", "1000",
+                  "--iterations", "3", "--out", str(tmp_path / "r"), "--seed"]
+        if stage == 1:
+            args = ["train-stage1", "--resume", str(workspace["g1"])] + common
+        else:
+            args = ["train-stage2", "--g1-checkpoint", str(workspace["g1"]),
+                    "--resume", str(workspace["g2"])] + common
+        assert main(args + ["1"]) == 2
+        assert main(args + ["0"]) == 0
+
     def test_missing_g1_checkpoint_exit_3(self, workspace, tmp_path):
         code = main(["train-stage2", "--store", str(workspace["store"]),
                      "--out", str(tmp_path / "r"),

@@ -363,3 +363,174 @@ class TestShapeFormulaProperty:
                 else:
                     with pytest.raises(DimensionError):
                         ops.deconv_output_extent(out, k, s, p)
+
+
+# -- the strided im2col/col2im kernels that the phase layout replaced, kept here
+# as the bitwise reference for it
+
+def strided_im2col(xp, kernel, stride, out_spatial):
+    n, c = xp.shape[:2]
+    kt, kh, kw = kernel
+    st, sh, sw = stride
+    to, ho, wo = out_spatial
+    cols = np.empty((n, c, kt, kh, kw, to, ho, wo), dtype=xp.dtype)
+    for a in range(kt):
+        for b in range(kh):
+            for d in range(kw):
+                cols[:, :, a, b, d] = xp[:, :, a:a + st * to:st,
+                                         b:b + sh * ho:sh, d:d + sw * wo:sw]
+    return cols.reshape(n, c * kt * kh * kw, to * ho * wo)
+
+
+def strided_col2im(cols, channels, kernel, stride, in_spatial, padded_spatial, dtype):
+    n = cols.shape[0]
+    kt, kh, kw = kernel
+    st, sh, sw = stride
+    to, ho, wo = in_spatial
+    cols = cols.reshape(n, channels, kt, kh, kw, to, ho, wo)
+    out = np.zeros((n, channels) + tuple(padded_spatial), dtype=dtype)
+    for a in range(kt):
+        for b in range(kh):
+            for d in range(kw):
+                out[:, :, a:a + st * to:st, b:b + sh * ho:sh,
+                    d:d + sw * wo:sw] += cols[:, :, a, b, d]
+    return out
+
+
+def _crop(v, padding):
+    return v[(Ellipsis,) + tuple(slice(p, e - p) for p, e in zip(padding, v.shape[2:]))]
+
+
+def _zero_plus(like, g):
+    """A first gradient accumulation as the strided kernels' tape did it."""
+    out = np.zeros_like(like)
+    out += g
+    return out
+
+
+def strided_conv3d(x, w, b, params, g):
+    """Output, then dx, dw, db for upstream gradient g, the way conv3d
+    computed them on the strided kernels."""
+    n, (c_out, c_in) = x.shape[0], w.shape[:2]
+    out_spatial = ops.conv_output_shape(x.shape[2:], params)
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in params.padding))
+    cols = strided_im2col(xp, params.kernel, params.stride, out_spatial)
+    w_mat = w.reshape(c_out, -1)
+    out = (w_mat[None] @ cols + b[None, :, None]).reshape((n, c_out) + out_spatial)
+    g_mat = g.reshape(n, c_out, -1)
+    dcols = w_mat.T[None] @ g_mat
+    dxp = strided_col2im(dcols, c_in, params.kernel, params.stride, out_spatial,
+                         xp.shape[2:], g.dtype)
+    dw = (g_mat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    return (out, _zero_plus(x, _crop(dxp, params.padding)), _zero_plus(w, dw),
+            _zero_plus(b, g_mat.sum(axis=(0, 2))))
+
+
+def strided_deconv3d(x, w, b, params, g):
+    n, (c_in, c_out) = x.shape[0], w.shape[:2]
+    in_spatial = x.shape[2:]
+    padded = tuple((m - 1) * s + k for m, s, k in
+                   zip(in_spatial, params.stride, params.kernel))
+    x_mat = x.reshape(n, c_in, -1)
+    w_mat = w.reshape(c_in, -1)
+    full = strided_col2im(w_mat.T[None] @ x_mat, c_out, params.kernel,
+                          params.stride, in_spatial, padded, x.dtype)
+    out = _crop(full, params.padding) + b[None, :, None, None, None]
+    gp = np.pad(g, ((0, 0), (0, 0)) + tuple((p, p) for p in params.padding))
+    gcols = strided_im2col(gp, params.kernel, params.stride, in_spatial)
+    dw = (x_mat @ gcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    dx = (w_mat[None] @ gcols).reshape(x.shape)
+    return (out, _zero_plus(x, dx), _zero_plus(w, dw),
+            _zero_plus(b, g.sum(axis=(0, 2, 3, 4))))
+
+
+def assert_matches_strided(params, n, c_in, c_out, spatial, dtype, rng):
+    transposed = params.transposed
+    wshape = ((c_in, c_out) if transposed else (c_out, c_in)) + tuple(params.kernel)
+    x = rng.standard_normal((n, c_in) + tuple(spatial)).astype(dtype)
+    w = rng.standard_normal(wshape).astype(dtype)
+    b = rng.standard_normal(c_out).astype(dtype)
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = (ops.deconv3d if transposed else ops.conv3d)(xt, wt, bt, params)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    out._backward(g)
+    want = (strided_deconv3d if transposed else strided_conv3d)(x, w, b, params, g)
+    for got, ref in zip((out.values, xt.grad, wt.grad, bt.grad), want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert_array_equal(got, ref)
+
+
+def _net_geometries(resolution):
+    """(params, input spatial extent) of every conv/deconv layer of the
+    generators and discriminator at one resolution."""
+    from lapsegan.models import build_discriminator, build_generator
+    seen = []
+    for spec in (build_generator(1, resolution), build_generator(2, resolution),
+                 build_discriminator(resolution)):
+        spatial = spec.input_shape[1:]
+        for layer in spec.layers:
+            if (layer.params, spatial) not in seen:
+                seen.append((layer.params, spatial))
+            spatial = layer.out_shape[1:]
+    return seen
+
+
+class TestPhaseLayoutMatchesStrided:
+    """conv3d/deconv3d on the stride-phase grid give bitwise the output and
+    gradients of the strided im2col/col2im kernels."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_geometries(self, dtype):
+        rng = np.random.default_rng(2024)
+        ragged = wide_pad = 0
+        for _ in range(200):
+            kernel = tuple(int(k) for k in rng.integers(1, 6, 3))
+            stride = tuple(int(s) for s in rng.integers(1, 4, 3))
+            padding = tuple(int(rng.integers(0, k + 1)) for k in kernel)
+            n, c_in, c_out = (int(v) for v in rng.integers(1, 3, 3))
+            transposed = bool(rng.integers(2))
+            spatial = []
+            for k, s, p in zip(kernel, stride, padding):
+                lo = 1 if transposed else max(1, k - 2 * p)
+                m = int(rng.integers(lo, lo + 5))
+                while transposed and (m - 1) * s - 2 * p + k < 1:
+                    m += 1
+                spatial.append(m)
+            params = ConvParams(c_out, kernel, stride, padding, transposed=transposed)
+            assert_matches_strided(params, n, c_in, c_out, spatial, dtype, rng)
+            ragged += any(k % s for k, s in zip(kernel, stride))
+            wide_pad += any(p >= k - 1 for k, p in zip(kernel, padding))
+        assert ragged > 50 and wide_pad > 50
+
+    @pytest.mark.parametrize("resolution", [64, 128])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_network_layers(self, resolution, dtype):
+        rng = np.random.default_rng(resolution)
+        geometries = _net_geometries(resolution)
+        assert len(geometries) >= 10
+        for params, spatial in geometries:
+            large = np.prod(spatial) > 2 ** 15
+            c_in, c_out = (1, 1) if large else (2, 3)
+            params = ConvParams(c_out, params.kernel, params.stride, params.padding,
+                                transposed=params.transposed)
+            assert_matches_strided(params, 1, c_in, c_out, spatial, dtype, rng)
+
+
+class TestLeakyReluMask:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_slope_product(self, dtype):
+        rng = np.random.default_rng(3)
+        v = np.concatenate([rng.standard_normal(64),
+                            [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-45, -1e-45]])
+        v = v.astype(dtype)
+        g = np.concatenate([rng.standard_normal(64),
+                            [3.0, -5.0, 1.0, -0.0, np.nan, 2.0, -7.0]]).astype(dtype)
+        x = Tensor(v, requires_grad=True)
+        out = ops.activation("leaky_relu", x)
+        out._backward(g)
+        slope = np.where(v >= 0, dtype(1), dtype(ops.LEAKY_SLOPE))
+        want = _zero_plus(v, g * slope)
+        assert x.grad.dtype == want.dtype
+        assert x.grad.tobytes() == want.tobytes()
+        assert out.values.tobytes() == np.where(
+            v >= 0, v, dtype(ops.LEAKY_SLOPE) * v).tobytes()

@@ -227,6 +227,52 @@ class TestBackward:
         assert_array_equal(x.grad, [1.0])
 
 
+class TestAccumulate:
+    """The first accumulation into an empty gradient is 0 + g, as when the
+    gradient was zero-filled and then added to."""
+
+    @staticmethod
+    def zero_plus(values, *grads):
+        out = np.zeros_like(values)
+        for g in grads:
+            out += g
+        return out
+
+    def test_negative_zero_becomes_positive(self):
+        t = Tensor(np.float32([1.0, 2.0, 3.0]), requires_grad=True)
+        g = np.float32([-0.0, 0.0, -1.5])
+        T._accumulate(t, g)
+        assert t.grad.tobytes() == self.zero_plus(t.values, g).tobytes()
+        assert not np.signbit(t.grad[0])
+
+    def test_float64_into_float32(self):
+        t = Tensor(np.zeros(4, np.float32), requires_grad=True)
+        g1 = np.float64([1e-40, -0.0, 1.0 + 2 ** -30, 3e38 * 2])
+        g2 = np.float64([1.0, 2 ** -30, -1.0, -3e38])
+        with np.errstate(over="ignore"):
+            T._accumulate(t, g1)
+            T._accumulate(t, g2)
+            want = self.zero_plus(t.values, g1, g2)
+        assert t.grad.dtype == np.float32
+        assert t.grad.tobytes() == want.tobytes()
+
+    def test_broadcast_and_strided_views(self):
+        t = Tensor(np.ones((3, 4), np.float32), requires_grad=True)
+        base = np.arange(24, dtype=np.float32).reshape(6, 4) - 11.0
+        view = base[::2]
+        row = np.broadcast_to(np.float32([-0.0, 1.0, -2.0, 0.5]), (3, 4))
+        T._accumulate(t, view)
+        T._accumulate(t, row)
+        assert t.grad.tobytes() == self.zero_plus(t.values, view, row).tobytes()
+        assert t.grad.flags.c_contiguous and t.grad.flags.writeable
+        assert_array_equal(base, np.arange(24, dtype=np.float32).reshape(6, 4) - 11.0)
+
+    def test_follows_leaf_layout(self):
+        t = Tensor(np.asfortranarray(np.ones((3, 5), np.float32)), requires_grad=True)
+        T._accumulate(t, np.full((3, 5), 2.0, np.float32))
+        assert t.grad.flags.f_contiguous
+
+
 class TestGradCheck:
     def test_sum_error_exactly_zero(self):
         # dyadic inputs and a power-of-two step make central differences exact

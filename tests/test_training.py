@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import zlib
@@ -9,7 +10,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import desk_config
 from lapsegan import training
 from lapsegan.data import load_batch
-from lapsegan.errors import ConfigError, IntegrityError, UnsupportedVersionError
+from lapsegan.errors import (ConfigError, ContractError, IntegrityError,
+                             UnsupportedVersionError)
 from lapsegan.ops import ParameterSet
 from lapsegan.tensor import Tensor, backward
 from lapsegan.training import (AdamState, Checkpoint, TrainingDiverged,
@@ -78,6 +80,58 @@ class TestAdam:
             assert_array_equal(st.v[k], v[k])
 
 
+def adam_reference(params, grads, state):
+    """Adam as one expression per moment and update, allocating its temporaries."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    for name, tensor in params.tensors.items():
+        g = grads.get(name, np.zeros_like(tensor.values))
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        mhat = m / m.dtype.type(c1)
+        vhat = v / v.dtype.type(c2)
+        tensor.values -= (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(
+            tensor.values.dtype)
+
+
+class TestAdamBitwise:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_expression(self, dtype):
+        rng = np.random.default_rng(8)
+        # "big" spans several chunks of the in-place update, "f" is Fortran-ordered
+        start = {"w": rng.standard_normal((4, 5)), "b": [0.5, -0.0, 0.0],
+                 "big": rng.standard_normal(3 * training._ADAM_CHUNK + 7),
+                 "f": np.asfortranarray(rng.standard_normal((6, 7)))}
+        runs = []
+        for step in (adam_step, adam_reference):
+            ps = param_set(start)
+            for t in ps.tensors.values():
+                t.values = t.values.astype(dtype, order="K")
+            st = AdamState.fresh(ps, desk_config())
+            grads_rng = np.random.default_rng(9)
+            for i in range(6):
+                grads = {k: (grads_rng.standard_normal(t.shape)
+                             * 10.0 ** -grads_rng.integers(0, 30)).astype(dtype)
+                         for k, t in ps.tensors.items()}
+                grads["w"][0, :3] = [-0.0, 1e-38, -1e-45]
+                grads["b"] = np.array([-0.0, 1e-30, 2.0], dtype)
+                grads["f"] = np.asfortranarray(grads["f"])
+                if i == 3:
+                    del grads["b"]  # an absent gradient counts as zero
+                step(ps, grads, st)
+            runs.append((ps, st))
+        (ps, st), (ref_ps, ref_st) = runs
+        assert st.t == ref_st.t == 6
+        for k in ps.tensors:
+            assert ps.tensors[k].values.tobytes() == ref_ps.tensors[k].values.tobytes()
+            assert st.m[k].tobytes() == ref_st.m[k].tobytes()
+            assert st.v[k].tobytes() == ref_st.v[k].tobytes()
+
+
 class TestCheckpointIO:
     def make_ckpt(self):
         ps = param_set({"conv.weight": np.arange(6, dtype=np.float32).reshape(2, 3)})
@@ -120,6 +174,27 @@ class TestCheckpointIO:
         back = load_checkpoint(p)
         assert back.stage == 1 and back.iteration == 42
         assert back.adam["g1"].t == 7
+
+    def test_file_bytes_pinned(self, tmp_path):
+        """The streamed writer lays out the same bytes as the format always had."""
+        p = tmp_path / "s.mdck"
+        save_checkpoint(self.make_ckpt(), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "8d435c0e2a6d28ec11bd045a0c59ae992c8739fbd918730448b09982936f0c89")
+
+    def test_failed_save_keeps_earlier_file(self, tmp_path):
+        p = tmp_path / "k.mdck"
+        save_checkpoint(self.make_ckpt(), p)
+        good = p.read_bytes()
+        broken = self.make_ckpt()
+        broken.iteration = 43
+        # sorted after the float32 blocks, so the save fails midway
+        broken.params["g1"].buffers["zz.count"] = np.arange(3, dtype=np.int64)
+        with pytest.raises(ContractError):
+            save_checkpoint(broken, p)
+        assert p.read_bytes() == good
+        assert load_checkpoint(p).iteration == 42
+        assert [f.name for f in tmp_path.iterdir()] == ["k.mdck"]
 
     def test_truncated_rejected(self, tmp_path):
         p = tmp_path / "t.mdck"
@@ -227,6 +302,85 @@ class TestStage1:
                 == (straight / "losses.csv").read_bytes())
 
 
+    @pytest.mark.parametrize("change", [dict(seed=1), dict(batch_size=1),
+                                        dict(width_multiplier=0.25), dict(lr=1e-3)])
+    def test_resume_with_other_config_rejected(self, stage1_ckpt, store64, change):
+        with pytest.raises(ConfigError):
+            train_stage1(store64, desk_config(iterations=3, **change),
+                         resume=stage1_ckpt)
+
+    def test_resume_may_change_schedule(self, stage1_ckpt, store64):
+        ckpt, _ = train_stage1(store64, desk_config(iterations=3, log_every=2,
+                                                    checkpoint_every=5),
+                               resume=stage1_ckpt)
+        assert ckpt.iteration == 3
+
+
+def capture_params(monkeypatch):
+    """Patch ``_alternate`` to keep the parameter sets it trains in a dict."""
+    seen = {}
+    real_alternate = training._alternate
+
+    def alternate(store, cfg, out_dir, stage, start, params, *rest, **kw):
+        seen.update(params)
+        return real_alternate(store, cfg, out_dir, stage, start, params, *rest, **kw)
+
+    monkeypatch.setattr(training, "_alternate", alternate)
+    return seen
+
+
+class TestPhaseGradients:
+    """The generator phase computes no discriminator gradient, and every
+    tensor requires grad again once training returns or raises."""
+
+    def run(self, stage, store, stage1_ckpt):
+        if stage == 1:
+            return train_stage1(store, desk_config(iterations=2))
+        return train_stage2(store, desk_config(iterations=2), stage1_ckpt)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_generator_phase_leaves_discriminator_alone(self, stage, store64,
+                                                       stage1_ckpt, monkeypatch):
+        params = capture_params(monkeypatch)
+        steps = []
+        real_step = training.adam_step
+
+        def spy(net_params, grads, state):
+            d = params[f"d{stage}"].tensors.values()
+            steps.append((net_params is params[f"d{stage}"],
+                          any(t.grad is not None for t in d),
+                          all(t.requires_grad for t in d)))
+            return real_step(net_params, grads, state)
+
+        monkeypatch.setattr(training, "adam_step", spy)
+        self.run(stage, store64, stage1_ckpt)
+        # D steps on its own gradients; G steps with D frozen and gradient-free
+        assert steps == [(True, True, True), (False, False, False)] * 2
+        for ps in params.values():
+            assert all(t.requires_grad for t in ps.tensors.values())
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_flags_restored_after_divergence(self, stage, store64, stage1_ckpt,
+                                             monkeypatch):
+        params = capture_params(monkeypatch)
+        calls = []
+        real_backward = training.backward
+
+        def poisoned(loss):
+            real_backward(loss)
+            calls.append(loss)
+            if len(calls) == 2:  # the first generator phase
+                g = params[f"g{stage}"]
+                next(iter(g.tensors.values())).grad[...] = np.nan
+
+        monkeypatch.setattr(training, "backward", poisoned)
+        with pytest.raises(TrainingDiverged):
+            self.run(stage, store64, stage1_ckpt)
+        assert len(calls) == 2
+        for ps in params.values():
+            assert all(t.requires_grad for t in ps.tensors.values())
+
+
 class TestStage2:
     def test_runs_and_g1_frozen(self, store64, stage1_ckpt):
         before = {k: t.values.copy()
@@ -276,6 +430,14 @@ class TestStage2:
         other, _ = train_stage1(store64, desk_config(iterations=1))
         with pytest.raises(ConfigError):
             train_stage2(store64, desk_config(iterations=2), other, resume=part)
+
+    @pytest.mark.parametrize("change", [dict(seed=1), dict(batch_size=1),
+                                        dict(lambda_rank=0.5)])
+    def test_resume_with_other_config_rejected(self, store64, stage1_ckpt, change):
+        part, _ = train_stage2(store64, desk_config(iterations=1), stage1_ckpt)
+        with pytest.raises(ConfigError):
+            train_stage2(store64, desk_config(iterations=2, **change), stage1_ckpt,
+                         resume=part)
 
     def test_gradient_flow_isolation(self, store64, stage1_ckpt):
         cfg = desk_config()
