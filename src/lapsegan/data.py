@@ -12,6 +12,7 @@ built-in data source for desk-scale runs.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import re
@@ -131,11 +132,19 @@ class ClipRecord:
     w: int
 
 
+def _manifest_line(rec):
+    return json.dumps(asdict(rec), sort_keys=True) + "\n"
+
+
 def write_manifest(store_dir, records):
     path = Path(store_dir) / "manifest.jsonl"
     with open(path, "w") as fp:
-        for rec in records:
-            fp.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
+        fp.writelines(map(_manifest_line, records))
+
+
+def records_sha256(records):
+    """Hex SHA-256 of manifest records, each hashed as its manifest line."""
+    return hashlib.sha256("".join(map(_manifest_line, records)).encode()).hexdigest()
 
 
 def read_manifest(store_dir):

@@ -184,12 +184,17 @@ def conv3d(x, weight, bias, params):
     out = w_mat[None] @ cols
     out += bias.values[None, :, None]
     out = out.reshape((n, c_out) + out_spatial)
+    if not weight.requires_grad:
+        cols = None  # only dW reads it; a frozen weight's layer tapes none
 
     def backward(g):
         g_mat = g.reshape(n, c_out, -1)
         if bias.requires_grad:
             _accumulate(bias, g_mat.sum(axis=(0, 2)))
         if weight.requires_grad:
+            if cols is None:
+                raise ContractError("conv3d weight was frozen when the forward ran, "
+                                    "so its cols were not kept; run the forward again")
             dw = _batch_sum(g_mat @ cols.transpose(0, 2, 1))
             _accumulate(weight, dw.reshape(weight.values.shape))
         if x.requires_grad:

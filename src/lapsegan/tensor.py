@@ -6,6 +6,12 @@ recorded graph in reverse topological order and accumulates gradients into
 every leaf that requires them. The tape is rebuilt on every forward pass
 (define-by-run), so alternating objectives reuse the same code paths.
 
+``backward`` consumes the graph it walks: once a node's closure has run, the
+node drops its closure and parent links, and its gradient too unless it is a
+leaf or the root, so the activations and gradients that nothing below it
+still needs are freed during the walk. A graph runs backward once; a second
+``backward`` over a consumed node raises ``ContractError``.
+
 Axis convention is row-major (N, C, T, H, W) with a leading batch axis.
 Training runs at float32; gradient checking runs at float64.
 """
@@ -396,7 +402,8 @@ def matmul_batched(a, b):
 
 
 def backward(root):
-    """Accumulate gradients of a scalar root into every requires_grad leaf."""
+    """Accumulate gradients of a scalar root into every requires_grad leaf,
+    consuming the graph on the way (see the module docstring)."""
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
@@ -420,9 +427,20 @@ def backward(root):
             stack.pop()
 
     root.grad = np.ones_like(root.values)
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
+    while order:
+        node = order.pop()
+        if node._backward is None:  # a leaf keeps its gradient
+            continue
+        node._backward(node.grad)
+        node._backward = _consumed
+        node._parents = ()
+        if node is not root:
+            node.grad = None
+
+
+def _consumed(g):
+    raise ContractError("this graph was consumed by an earlier backward; "
+                        "run the forward again")
 
 
 def grad_check(f, x, step=1e-5, floor=1e-6, sample=None, rng=None):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_from_dict
-from .data import CLIP_LEN, load_batch
+from .data import CLIP_LEN, load_batch, records_sha256
 from .errors import ConfigError, IntegrityError, UnsupportedVersionError
 from .losses import (LossReport, adversarial_terms, content_loss,
                      generator_adversarial, gram, rank_loss_total,
@@ -122,6 +122,7 @@ class Checkpoint:
     config: dict
     params: dict            # net name -> ParameterSet
     adam: dict = field(default_factory=dict)  # net name -> AdamState
+    train_split_sha256: str | None = None  # of the store's train records
 
     def run_config(self) -> RunConfig:
         return config_from_dict(self.config)
@@ -166,6 +167,8 @@ def save_checkpoint(ckpt, path):
                        "eps": st.eps, "lr": st.lr}
                  for net, st in ckpt.adam.items()},
     }
+    if ckpt.train_split_sha256 is not None:
+        meta["train_split_sha256"] = ckpt.train_split_sha256
     blocks = []
     for net in sorted(ckpt.params):
         ps = ckpt.params[net]
@@ -241,7 +244,8 @@ def load_checkpoint(path):
                               beta2=scalars["beta2"], eps=scalars["eps"],
                               lr=scalars["lr"])
     return Checkpoint(stage=meta["stage"], iteration=meta["iteration"],
-                      config=meta["config"], params=params, adam=adam)
+                      config=meta["config"], params=params, adam=adam,
+                      train_split_sha256=meta.get("train_split_sha256"))
 
 
 # -- shared training plumbing -------------------------------------------------
@@ -250,9 +254,17 @@ def load_checkpoint(path):
 _RESUME_MAY_CHANGE = ("iterations", "checkpoint_every", "log_every")
 
 
-def _check_resume(resume, stage, cfg):
-    """A resume continues the same run: the checkpoint is of this stage and
-    its config equals ``cfg`` in every key but the schedule lengths."""
+def _train_split_sha256(store):
+    records = store.split_records("train")
+    if not records:
+        raise ConfigError("store has no train clips")
+    return records_sha256(records)
+
+
+def _check_resume(resume, stage, cfg, train_sha):
+    """A resume continues the same run: the checkpoint is of this stage, its
+    config equals ``cfg`` in every key but the schedule lengths, and it was
+    trained on the train split whose hash is ``train_sha`` (when it records one)."""
     if resume.stage != stage:
         raise ConfigError(f"expected a stage-{stage} checkpoint, got stage {resume.stage}")
     saved = resume.run_config().as_dict()
@@ -261,6 +273,9 @@ def _check_resume(resume, stage, cfg):
     if differ:
         raise ConfigError("config differs from the resumed checkpoint's in "
                           + ", ".join(differ))
+    if resume.train_split_sha256 not in (None, train_sha):
+        raise ConfigError("the resumed checkpoint was trained on a different "
+                          "train split than this store's")
 
 
 def _init_seed(cfg, tag):
@@ -309,7 +324,8 @@ class _RunWriter:
             self.csv.close()
 
 
-def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, lam):
+def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, lam,
+               train_sha):
     """Iterations ``start`` .. ``cfg.iterations`` of the alternating schedule.
 
     ``phases`` holds the discriminator, then the generator phase, as (network,
@@ -317,6 +333,7 @@ def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, lam):
     then its report terms: adv_d, then adv_g, rank and content. Each phase
     draws its own batch, and while it runs the other phase's network does not
     require grad, so backward computes no gradient that Adam would discard.
+    Checkpoints record ``train_sha``, the hash of the store's train split.
     Returns (final Checkpoint, list of LossReports).
     """
     writer = _RunWriter(out_dir, cfg, stage, start)
@@ -352,7 +369,7 @@ def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, lam):
             reports.append(rep)
             writer.report(rep)
             ckpt = Checkpoint(stage=stage, iteration=it + 1, config=cfg.as_dict(),
-                              params=params, adam=adam)
+                              params=params, adam=adam, train_split_sha256=train_sha)
             writer.maybe_checkpoint(ckpt)
         if ckpt is not None:
             writer.maybe_checkpoint(ckpt, final=True)
@@ -397,13 +414,12 @@ def train_stage1(store, cfg, out_dir=None, resume=None):
     saved stage-1 checkpoint to ``cfg.iterations`` total iterations.
     """
     cfg.validate()
-    if not store.split_records("train"):
-        raise ConfigError("store has no train clips")
+    train_sha = _train_split_sha256(store)
     g_spec = build_generator(1, cfg.resolution, cfg.width_multiplier)
     d_spec = build_discriminator(cfg.resolution, cfg.width_multiplier)
 
     if resume is not None:
-        _check_resume(resume, 1, cfg)
+        _check_resume(resume, 1, cfg, train_sha)
         params, adam, start = resume.params, resume.adam, resume.iteration
     else:
         params = {"g1": init_parameters(g_spec, _init_seed(cfg, 1)),
@@ -421,7 +437,7 @@ def train_stage1(store, cfg, out_dir=None, resume=None):
         return objective, adv_g, 0.0, l_con
 
     return _alternate(store, cfg, out_dir, 1, start, params, adam,
-                      (("d1", d_phase), ("g1", g_phase)), lam=0.0)
+                      (("d1", d_phase), ("g1", g_phase)), 0.0, train_sha)
 
 
 # -- stage 2 ------------------------------------------------------------------
@@ -499,8 +515,7 @@ def train_stage2(store, cfg, g1_checkpoint, out_dir=None, resume=None):
     cfg.validate()
     if g1_checkpoint is None:
         raise ConfigError("stage 2 requires a stage-1 checkpoint")
-    if not store.split_records("train"):
-        raise ConfigError("store has no train clips")
+    train_sha = _train_split_sha256(store)
     ck_cfg = g1_checkpoint.run_config()
     if (ck_cfg.resolution, ck_cfg.width_multiplier) != \
             (cfg.resolution, cfg.width_multiplier):
@@ -517,7 +532,7 @@ def train_stage2(store, cfg, g1_checkpoint, out_dir=None, resume=None):
     g1_params = g1_checkpoint.params["g1"]
 
     if resume is not None:
-        _check_resume(resume, 2, cfg)
+        _check_resume(resume, 2, cfg, train_sha)
         saved_g1 = resume.params.get("g1", ParameterSet())
         if _fingerprint(saved_g1) != _fingerprint(g1_params):
             raise ConfigError("the stage-2 checkpoint was trained on a different "
@@ -540,7 +555,8 @@ def train_stage2(store, cfg, g1_checkpoint, out_dir=None, resume=None):
         return stage2_g_objective(nets, y, x, cfg)
 
     return _alternate(store, cfg, out_dir, 2, start, params, adam,
-                      (("d2", d_phase), ("g2", g_phase)), lam=cfg.lambda_rank)
+                      (("d2", d_phase), ("g2", g_phase)), cfg.lambda_rank,
+                      train_sha)
 
 
 # -- generation ---------------------------------------------------------------

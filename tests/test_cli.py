@@ -223,3 +223,26 @@ class TestUsage:
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == lapsegan.__version__
+
+
+class TestResumeStore:
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_resume_on_other_train_split_exit_2(self, workspace, tmp_path, stage):
+        other = tmp_path / "other"
+        assert main(["synth-data", "--out", str(other), "--n-sources", "4",
+                     "--frames-per-source", "64", "--resolution", "64",
+                     "--test-fraction", "0.5", "--seed", "3"]) == 0
+        train = [[r for r in read_manifest(s) if r.split == "train"]
+                 for s in (other, workspace["store"])]
+        assert train[0] != train[1]
+        common = ["--resolution", "64", "--width-multiplier", "0.125",
+                  "--batch-size", "2", "--log-every", "100",
+                  "--checkpoint-every", "1000", "--iterations", "3", "--seed", "0",
+                  "--out", str(tmp_path / "r")]
+        if stage == 1:
+            args = ["train-stage1", "--resume", str(workspace["g1"])] + common
+        else:
+            args = ["train-stage2", "--g1-checkpoint", str(workspace["g1"]),
+                    "--resume", str(workspace["g2"])] + common
+        assert main(args + ["--store", str(other)]) == 2
+        assert main(args + ["--store", str(workspace["store"])]) == 0

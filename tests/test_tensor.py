@@ -1,9 +1,12 @@
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lapsegan import ops
 from lapsegan import tensor as T
 from lapsegan.errors import ContractError, DimensionError, DomainError, IntegrityError
 from lapsegan.tensor import Tensor
@@ -351,3 +354,143 @@ class TestSerialization:
         T.write_array(buf, np.zeros((4, 4), dtype=np.float64))
         with pytest.raises(IntegrityError):
             T.read_array(io.BytesIO(buf.getvalue()[:-8]))
+
+
+def backward_keeping_graph(root):
+    """Reference backward that keeps the graph: the traversal and order of
+    ``tensor.backward``, with every gradient, closure and parent link left in place."""
+    order = []
+    seen = {id(root)}
+    stack = [(root, iter(root._parents))]
+    while stack:
+        node, parents = stack[-1]
+        advanced = False
+        for p in parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(p._parents)))
+                advanced = True
+                break
+        if not advanced:
+            order.append(node)
+            stack.pop()
+    root.grad = np.ones_like(root.values)
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+DOWN = ops.ConvParams(3, (4, 4, 4), (2, 2, 2), (1, 1, 1))
+UP = ops.ConvParams(2, (4, 4, 4), (2, 2, 2), (1, 1, 1), transposed=True)
+
+
+def conv_stack(dtype, seed=0):
+    """Leaves and root of conv -> batch norm -> leaky_relu -> deconv, whose
+    output is multiplied by the input again, so the input's gradient sums two paths."""
+    rng = np.random.default_rng(seed)
+
+    def leaf(shape, scale=1.0, mean=0.0):
+        return Tensor((mean + scale * rng.standard_normal(shape)).astype(dtype),
+                      requires_grad=True)
+
+    v = {"x": leaf((2, 2, 4, 8, 8)), "w": leaf((3, 2, 4, 4, 4), 0.2),
+         "b": leaf((3,), 0.1), "gamma": leaf((3,), 0.1, 1.0),
+         "beta": leaf((3,), 0.1), "wt": leaf((3, 2, 4, 4, 4), 0.2),
+         "bt": leaf((2,), 0.1)}
+    h = ops.conv3d(v["x"], v["w"], v["b"], DOWN)
+    state = ops.BatchNormState(v["gamma"], v["beta"], np.zeros(3, dtype),
+                               np.ones(3, dtype))
+    h = ops.activation("leaky_relu", ops.batchnorm3d(h, state, "train"))
+    out = ops.deconv3d(h, v["wt"], v["bt"], UP)
+    return v, (out * v["x"]).sum()
+
+
+def spy_im2col(monkeypatch):
+    """Patch ``ops._im2col`` to keep a weak reference to every buffer it returns."""
+    refs = []
+    real = ops._im2col
+
+    def spy(*args):
+        cols = real(*args)
+        refs.append(weakref.ref(cols))
+        return cols
+
+    monkeypatch.setattr(ops, "_im2col", spy)
+    return refs
+
+
+def conv_leaves(weight_trainable=True):
+    rng = np.random.default_rng(3)
+    p = ops.ConvParams(2, (3, 3, 3), (1, 2, 2), (1, 1, 1))
+    x = Tensor(rng.standard_normal((1, 2, 4, 6, 6)), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, 2, 3, 3, 3)), requires_grad=weight_trainable)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    return x, w, b, p
+
+
+class TestConsumingBackward:
+    """backward frees what it has used: every non-leaf gradient but the
+    root's, every closure and parent link, and no leaf gradient changes."""
+
+    def test_intermediate_gradient_and_cols_released(self, monkeypatch):
+        cols_refs = spy_im2col(monkeypatch)
+        x, w, b, p = conv_leaves()
+        mid = ops.conv3d(x, w, b, p)
+        grad_refs = []
+
+        def record(g):
+            grad_refs.append(weakref.ref(g))
+            T._accumulate(mid, g)
+            grad_refs.append(weakref.ref(mid.grad))
+
+        spy = Tensor._from_op(mid.values, (mid,), record, "spy")
+        root = (spy * spy).sum()
+        assert len(cols_refs) == 1 and cols_refs[0]() is not None
+        T.backward(root)
+        gc.collect()
+        assert len(grad_refs) == 2
+        assert all(r() is None for r in grad_refs + cols_refs)
+        assert mid.grad is None and mid._backward is T._consumed and mid._parents == ()
+        assert_array_equal(root.grad, 1.0)
+        assert all(t.grad is not None for t in (x, w, b))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaf_gradients_match_non_releasing_loop(self, dtype):
+        kept, root = conv_stack(dtype)
+        backward_keeping_graph(root)
+        consumed, root = conv_stack(dtype)
+        T.backward(root)
+        for name, leaf in kept.items():
+            assert leaf.grad.dtype == dtype
+            assert_array_equal(consumed[name].grad, leaf.grad, err_msg=name)
+
+    def test_second_backward_raises(self):
+        x = f64([1.0, 2.0], requires_grad=True)
+        h = x * 3.0
+        root = (h * h).sum()
+        T.backward(root)
+        with pytest.raises(ContractError, match="run the forward again"):
+            T.backward(root)
+        with pytest.raises(ContractError, match="run the forward again"):
+            T.backward((h * 2.0).sum())  # a new graph over a consumed node
+        assert_array_equal(x.grad, [18.0, 36.0])
+
+    def test_frozen_weight_keeps_no_cols(self, monkeypatch):
+        x, w, b, p = conv_leaves()
+        T.backward(ops.conv3d(x, w, b, p).sum())
+        cols_refs = spy_im2col(monkeypatch)
+        xf, wf, bf, _ = conv_leaves(weight_trainable=False)
+        out = ops.conv3d(xf, wf, bf, p)
+        gc.collect()
+        assert out._backward is not None and cols_refs[0]() is None
+        T.backward(out.sum())
+        assert wf.grad is None
+        assert_array_equal(xf.grad, x.grad)
+        assert_array_equal(bf.grad, b.grad)
+
+    def test_weight_unfrozen_after_forward_raises(self):
+        x, w, b, p = conv_leaves(weight_trainable=False)
+        out = ops.conv3d(x, w, b, p).sum()
+        w.requires_grad = True
+        with pytest.raises(ContractError, match="frozen"):
+            T.backward(out)

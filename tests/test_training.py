@@ -581,3 +581,60 @@ class TestGenerate:
         frame = Tensor(np.zeros((1, 3, 128, 128), dtype=np.float32))
         with pytest.raises(ConfigError):
             generate_video(stage1_ckpt, frame)
+
+
+def other_split_store(store, root):
+    """A copy of ``store`` whose train split lacks its first train clip."""
+    import shutil
+
+    from lapsegan.data import ClipStore, read_manifest, write_manifest
+    shutil.copytree(store.root, root)
+    records = read_manifest(root)
+    next(r for r in records if r.split == "train").split = "test"
+    write_manifest(root, records)
+    return ClipStore(root)
+
+
+class TestResumeStore:
+    """Checkpoints record the hash of the train split they were trained on,
+    and a resume on a store with another train split is rejected."""
+
+    def run(self, stage, store, stage1_ckpt, iterations, resume=None):
+        cfg = desk_config(iterations=iterations)
+        if stage == 1:
+            return train_stage1(store, cfg, resume=resume)[0]
+        return train_stage2(store, cfg, stage1_ckpt, resume=resume)[0]
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_checkpoint_records_train_split(self, stage, store64, stage1_ckpt,
+                                            tmp_path):
+        from lapsegan.data import records_sha256
+        ckpt = self.run(stage, store64, stage1_ckpt, 1)
+        p = tmp_path / "c.mdck"
+        save_checkpoint(ckpt, p)
+        assert load_checkpoint(p).train_split_sha256 == records_sha256(
+            store64.split_records("train"))
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_resume_on_other_train_split_rejected(self, stage, store64,
+                                                  stage1_ckpt, tmp_path):
+        other = other_split_store(store64, tmp_path / "other")
+        part = self.run(stage, store64, stage1_ckpt, 1)
+        with pytest.raises(ConfigError, match="train split"):
+            self.run(stage, other, stage1_ckpt, 2, resume=part)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_file_without_split_hash_resumes(self, stage, store64, stage1_ckpt,
+                                             tmp_path):
+        straight = self.run(stage, store64, stage1_ckpt, 2)
+        part = self.run(stage, store64, stage1_ckpt, 1)
+        part.train_split_sha256 = None
+        p = tmp_path / "old.mdck"
+        save_checkpoint(part, p)
+        raw = p.read_bytes()
+        meta_len, = struct.unpack("<I", raw[12:16])
+        assert b"train_split_sha256" not in raw[16:16 + meta_len]
+        resumed = self.run(stage, store64, stage1_ckpt, 2, resume=load_checkpoint(p))
+        for net, ps in straight.params.items():
+            for k, t in ps.tensors.items():
+                assert_array_equal(t.values, resumed.params[net].tensors[k].values)
