@@ -50,8 +50,8 @@ class RunConfig:
             raise ConfigError("generation_bn_mode must be running or batch")
         if self.g2_init not in ("g1", "fresh"):
             raise ConfigError("g2_init must be g1 or fresh")
-        if self.iterations < 1 or self.checkpoint_every < 1:
-            raise ConfigError("iterations and checkpoint_every must be >= 1")
+        if min(self.iterations, self.checkpoint_every, self.log_every) < 1:
+            raise ConfigError("iterations, checkpoint_every and log_every must be >= 1")
         return self
 
     def as_dict(self):

@@ -5,6 +5,12 @@ encoder activations are added element-wise into the decoder inputs; the
 stage-2 generator drops the two outermost skip pairs so it cannot collapse
 into an identity map. Discriminators reuse the encoder plus a single-node
 sigmoid head and expose feature taps for the motion descriptor.
+
+A generator's input is often one frame repeated (``duplicate_frame``). When
+its frames all share frame 0's bits and no tape is recorded, the leading
+encoder convs compute only their first, one interior and last output frame,
+the only distinct ones, and repeat the interior frame back to full length;
+every output bit stays that of the full computation.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from .errors import ConfigError, DimensionError
 from .ops import (BN_EPS, BN_MOMENTUM, BatchNormState, ConvParams, activation,
                   batchnorm3d, conv3d, conv_output_shape, deconv3d,
                   deconv_output_shape)
-from .tensor import Tensor, _accumulate, clamp
+from .tensor import Tensor, _accumulate, clamp, recording
 
 log = logging.getLogger(__name__)
 
@@ -217,11 +223,21 @@ def _bn_state(params, name, eps, momentum):
         momentum=momentum, eps=eps)
 
 
-def _apply_layer(layer, params, x, mode, update_running, bn_eps, bn_momentum):
+def _apply_layer(layer, params, x, mode, update_running, bn_eps, bn_momentum,
+                 frames=None):
+    """Conv or deconv, then batch norm and activation. With ``frames`` (see
+    ``_short_clip``) the conv reads only those input frames and its
+    [first, interior, last] output is repeated back to full length."""
     w = params.tensors[f"{layer.name}.weight"]
     b = params.tensors[f"{layer.name}.bias"]
     op = deconv3d if layer.params.transposed else conv3d
-    out = op(x, w, b, layer.params)
+    if frames is None:
+        out = op(x, w, b, layer.params)
+    else:
+        out = op(Tensor(x.values[:, :, frames]), w, b, layer.params)
+        # np.repeat returns a C-contiguous copy: train-mode batch statistics
+        # then sum the same array, in the same order, as on the full path
+        out = Tensor(np.repeat(out.values, (1, layer.out_shape[1] - 2, 1), axis=2))
     if layer.batch_norm:
         out = batchnorm3d(out, _bn_state(params, layer.name, bn_eps, bn_momentum),
                           mode, update_running=update_running)
@@ -236,10 +252,21 @@ def forward_generator(spec, params, x, mode="train", update_running=True,
 
     Skip additions happen on the decoder inputs. Returns the tanh-bounded
     video tensor, the same shape as the input. Differentiable end to end.
+
+    When no tape is recorded and every frame of ``x`` has the bits of frame
+    0 (a duplicated first frame), each encoder activation has only three
+    distinct frames: the first, one interior frame repeated, and the last.
+    The leading encoder convs that keep this structure (``_short_clip``)
+    then compute just those three output frames and repeat them to full
+    length before batch norm, so every output bit, batch statistic and
+    running average is what the full path gives. A taped forward always
+    takes the full path, so its gradients are summed in the same order.
     """
     if tuple(x.shape[1:]) != tuple(spec.input_shape):
         raise DimensionError(
             f"input shape {x.shape[1:]} does not match spec {spec.input_shape}")
+    short = (not recording([x, *params.tensors.values()])
+             and _repeats_first_frame(x.values))
     cache = {}
     cur = x
     for layer in spec.layers:
@@ -250,10 +277,39 @@ def forward_generator(spec, params, x, mode="train", update_running=True,
                     f"internal skip junction mismatch at {layer.name}: "
                     f"{skip.shape} vs {cur.shape}")
             cur = cur + skip
+        frames = _short_clip(layer, cur.shape[2], cur is x) if short else None
+        short = frames is not None
         cur = _apply_layer(layer, params, cur, mode, update_running,
-                           bn_eps, bn_momentum)
+                           bn_eps, bn_momentum, frames)
         cache[layer.name] = cur
     return cur
+
+
+def _repeats_first_frame(v):
+    """Whether every frame of a (N,C,T,H,W) array has the bits of frame 0;
+    bits, not values, so -0.0 and 0.0 differ and NaN equals NaN."""
+    bits = v.view(f"u{v.itemsize}")
+    return bool(np.all(bits == bits[:, :, :1]))
+
+
+def _short_clip(layer, t_in, constant):
+    """Input frames from which a conv computes its first, interior and last
+    output frames, when its input is [first, interior..., last] over
+    ``t_in`` frames (all equal if ``constant``); None if the conv does not
+    keep that structure. Kernel 3, stride 1, pad 1 keeps it only on a
+    constant input; kernel 4, stride 2, pad 1 reads [0,f,i,i] for its first
+    output, [i,i,i,i] for the interior and [i,i,l,0] for its last when it
+    halves ``t_in``. Either needs at least three output frames."""
+    t_out = layer.out_shape[1]
+    if layer.params.transposed or t_out < 3:
+        return None
+    geometry = tuple(g[0] for g in (layer.params.kernel, layer.params.stride,
+                                    layer.params.padding))
+    if geometry == (3, 1, 1) and constant:
+        return [0, 1, 2]
+    if geometry == (4, 2, 1) and t_in == 2 * t_out:
+        return [0, 1, 2, 3, 4, t_in - 1]
+    return None
 
 
 def forward_discriminator(spec, params, video, mode="train", update_running=True,

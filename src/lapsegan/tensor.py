@@ -39,6 +39,12 @@ def no_grad():
         _grad_enabled = prev
 
 
+def recording(tensors):
+    """Whether an op over ``tensors`` records a graph node: the tape is live
+    and at least one of them requires grad."""
+    return _grad_enabled and any(t.requires_grad for t in tensors)
+
+
 class Tensor:
     """N-d real array with an optional gradient slot.
 
@@ -69,7 +75,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.values = values
         out.grad = None
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if recording(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

@@ -15,6 +15,7 @@ resumed run replays the exact stream of an uninterrupted one.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -208,14 +209,18 @@ def save_checkpoint(ckpt, path):
 
 
 def load_checkpoint(path):
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fp:
+        # a numpy buffer rather than bytes: numpy asks the kernel for huge
+        # pages on large allocations, so a large file reads in fewer faults
+        buf = np.empty(os.fstat(fp.fileno()).st_size, np.uint8)
+        raw = memoryview(buf)[:fp.readinto(buf)]
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise IntegrityError(f"{path}: not a checkpoint (bad magic)")
     version, crc = struct.unpack("<II", raw[4:12])
     if version != CHECKPOINT_VERSION:
         raise UnsupportedVersionError(
             f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    body = _BufferReader(memoryview(raw)[12:])
+    body = _BufferReader(raw[12:])
     if zlib.crc32(body.buf) != crc:
         raise IntegrityError(f"{path}: checksum mismatch (corrupt or truncated)")
 

@@ -61,6 +61,14 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "iter=1 adv_d=" in out and "rank=" in out
 
+    def test_log_every_zero_exit_2(self, workspace, tmp_path):
+        code = main(["train-stage1", "--store", str(workspace["store"]),
+                     "--out", str(tmp_path / "r"), "--resolution", "64",
+                     "--width-multiplier", "0.125", "--iterations", "1",
+                     "--log-every", "0"])
+        assert code == 2
+        assert not (tmp_path / "r").exists()
+
     def test_unknown_config_key_in_file_exit_2(self, workspace, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("banana = 7\n")

@@ -21,6 +21,12 @@ class TestDefaults:
         with pytest.raises(ConfigError):
             RunConfig(loss_reduction="median").validate()
 
+    @pytest.mark.parametrize("key", ["iterations", "checkpoint_every", "log_every"])
+    def test_schedule_lengths_at_least_one(self, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: 0}).validate()
+        RunConfig(**{key: 1}).validate()
+
 
 class TestFileParsing:
     def test_round_trip(self, tmp_path):

@@ -205,6 +205,96 @@ class TestForwardGenerator:
                               Tensor(np.zeros((1, 3, 32, 32, 32), dtype=np.float32)))
 
 
+def drawn_generator(resolution, width, dtype, seed=0):
+    """A stage-1 generator whose biases, betas and running statistics are
+    drawn away from 0 and 1, so that inference batch norm and every bias
+    reach the output."""
+    spec = build_generator(1, resolution, width)
+    params = ops.init_parameters(spec, seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for name, t in params.tensors.items():
+        if name.endswith((".bias", ".beta")):
+            t.values[...] = rng.normal(0.0, 0.1, t.values.shape)
+    for name, b in params.buffers.items():
+        b[...] = (rng.uniform(0.2, 0.8, b.shape) if name.endswith("var")
+                  else rng.normal(0.0, 0.1, b.shape))
+    return spec, params
+
+
+def conv_frame_counts(monkeypatch):
+    """Record the frame count of every conv3d input the generator runs."""
+    counts = []
+
+    def spy(x, weight, bias, params):
+        counts.append(x.shape[2])
+        return ops.conv3d(x, weight, bias, params)
+
+    monkeypatch.setattr(models, "conv3d", spy)
+    return counts
+
+
+def bits(a):
+    return a.view(f"u{a.itemsize}")
+
+
+def assert_forwards_bitwise_equal(spec, params, x, mode, monkeypatch):
+    """Forward ``x`` without a tape and, on cloned parameters, with one (the
+    full path); require equal bits in the video and in every running buffer.
+    Returns the conv input frame counts of the two passes."""
+    taped_params = params.clone()
+    counts = conv_frame_counts(monkeypatch)
+    update = mode == "train"
+    with T.no_grad():
+        fast = forward_generator(spec, params, x, mode=mode, update_running=update)
+    n_fast = len(counts)
+    full = forward_generator(spec, taped_params, x, mode=mode, update_running=update)
+    assert full.requires_grad and not fast.requires_grad
+    assert_array_equal(bits(fast.values), bits(full.values))
+    for name, buf in params.buffers.items():
+        assert_array_equal(bits(buf), bits(taped_params.buffers[name]), err_msg=name)
+    return counts[:n_fast], counts[n_fast:]
+
+
+class TestShortEncoderPath:
+    """A tape-free forward over a duplicated frame runs the leading encoder
+    convs on short clips; outputs and running statistics keep every bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["inference", "train"])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("resolution,width", [(64, 0.125), (128, 0.25)])
+    def test_duplicated_frame_matches_full_path(self, resolution, width, batch,
+                                                mode, dtype, monkeypatch):
+        spec, params = drawn_generator(resolution, width, dtype)
+        rng = np.random.default_rng(batch)
+        frame = Tensor(rng.uniform(-1, 1, (batch, 3, resolution, resolution)),
+                       dtype=dtype)
+        short, full = assert_forwards_bitwise_equal(
+            spec, params, duplicate_frame(frame, 32), mode, monkeypatch)
+        # conv1 reads 3 frames, conv2-conv4 read [f, i, i, i, i, l], conv5
+        # onward run as before (64 resolution has no conv1)
+        assert short == [3, 6, 6, 6, 4, 2][-len(full):]
+        assert full == [32, 32, 16, 8, 4, 2][-len(full):]
+
+    def test_full_scale(self, monkeypatch):
+        spec, params = drawn_generator(128, 1.0, np.float32)
+        frame = Tensor(np.random.default_rng(7).uniform(-1, 1, (1, 3, 128, 128)))
+        short, _ = assert_forwards_bitwise_equal(
+            spec, params, duplicate_frame(frame, 32), "train", monkeypatch)
+        assert short[0] == 3
+
+    @pytest.mark.parametrize("odd", ["negative_zero", "nan"])
+    def test_frames_differing_in_bits_take_full_path(self, odd, monkeypatch):
+        spec, params = drawn_generator(128, 0.25, np.float32)
+        x = np.zeros((1, 3, 32, 128, 128), np.float32)
+        x[0, 1, 5, 7, 9] = -0.0 if odd == "negative_zero" else np.nan
+        counts = conv_frame_counts(monkeypatch)
+        with T.no_grad():
+            forward_generator(spec, params, Tensor(x), mode="inference",
+                              update_running=False)
+        assert counts[0] == 32
+
+
 class TestForwardDiscriminator:
     def test_score_and_tap_shapes(self):
         spec = build_discriminator(64, 0.125)

@@ -203,6 +203,14 @@ class TestCheckpointIO:
         with pytest.raises(IntegrityError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("size", [0, 11])
+    def test_shorter_than_header_rejected(self, tmp_path, size):
+        p = tmp_path / "h.mdck"
+        save_checkpoint(self.make_ckpt(), p)
+        p.write_bytes(p.read_bytes()[:size])
+        with pytest.raises(IntegrityError, match="bad magic"):
+            load_checkpoint(p)
+
     def test_corrupt_byte_rejected(self, tmp_path):
         p = tmp_path / "x.mdck"
         save_checkpoint(self.make_ckpt(), p)
