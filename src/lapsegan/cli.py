@@ -198,15 +198,14 @@ def _inspect_store(path):
     for r in records:
         by_split[r.split] = by_split.get(r.split, 0) + 1
         by_source[r.source_id] = by_source.get(r.source_id, 0) + 1
-    print(f"store {path}: {len(records)} clips, {len(by_source)} sources, "
-          f"resolution {records[0].h}x{records[0].w}")
+    resolution = f", resolution {records[0].h}x{records[0].w}" if records else ""
+    print(f"store {path}: {len(records)} clips, {len(by_source)} sources{resolution}")
     for split in sorted(by_split):
         print(f"  {split}: {by_split[split]} clips")
     return EXIT_OK
 
 
 def _inspect_checkpoint(path):
-    from .models import parameter_count, build_discriminator, build_generator
     from .training import load_checkpoint
     ckpt = load_checkpoint(path)
     print(f"checkpoint {path}: stage {ckpt.stage}, iteration {ckpt.iteration}")

@@ -152,9 +152,13 @@ def read_manifest(store_dir):
     if not path.exists():
         raise IntegrityError(f"no manifest at {path}")
     records = []
-    for line in path.read_text().splitlines():
+    for number, line in enumerate(path.read_bytes().splitlines(), start=1):
         if line.strip():
-            records.append(ClipRecord(**json.loads(line)))
+            try:
+                records.append(ClipRecord(**json.loads(line)))
+            except (ValueError, TypeError) as exc:
+                raise IntegrityError(f"{path}:{number}: malformed manifest record "
+                                     f"({exc})") from exc
     return records
 
 

@@ -175,6 +175,8 @@ def evaluate_store(predict, store, n_samples, seed, split="test",
     [0,1] metric domain; the ground truth is the clip itself mapped to
     [0,1]. Sampling is seeded, without replacement when the split allows.
     """
+    if n_samples < 1:
+        raise ConfigError(f"need at least 1 clip to evaluate, got {n_samples}")
     records = store.split_records(split)
     if not records:
         raise ConfigError(f"store has no {split!r} clips to evaluate")

@@ -2,9 +2,17 @@
 batch normalization, activations, and parameter initialization.
 
 Convolutions are cross-correlations (no kernel flip) computed as im2col +
-GEMM; the transposed convolution is the exact adjoint of the forward
-convolution with respect to its input, so the pair shares the col/im
-rearrangement helpers. Volumes are (N, C, T, H, W).
+GEMM; volumes are (N, C, T, H, W). Three private primitives do all of it:
+``_im2col`` pads a volume and gathers its kernel windows into columns,
+``_correlate`` multiplies a weight matrix with those columns, and
+``_correlate_adjoint`` is their data adjoint: the transposed GEMM, a
+scatter-add of the columns back onto the padded volume, then a crop.
+A transposed convolution is exactly the data adjoint of a convolution
+(Dumoulin & Visin, arXiv:1603.07285), so ``deconv3d`` is ``conv3d`` with the
+roles swapped: conv3d runs ``_correlate`` forward and ``_correlate_adjoint``
+for dX, deconv3d runs ``_correlate_adjoint`` forward and ``_correlate`` over
+the windows of the upstream gradient for dX. Both take dW from
+``_weight_gradient``.
 
 The rearrangement works on a stride-phase grid (space-to-depth, Shi et al.,
 arXiv:1609.07009): the zero-padded volume is stored as
@@ -79,14 +87,12 @@ def deconv_output_shape(spatial, params):
                  zip(spatial, params.kernel, params.stride, params.padding))
 
 
-def _phase_extents(spatial, stride, padding):
-    """Per-axis extent of one stride phase of a zero-padded volume."""
-    return tuple(-(-(n + 2 * p) // s) for n, s, p in zip(spatial, stride, padding))
-
-
-def _phase_slices(spatial, stride, padding):
-    """Yield (grid index, volume index) pairs, one per stride phase, that place
-    a (N,C,*spatial) volume inside its zero-padded phase grid."""
+def _phase_layout(spatial, params):
+    """The stride-phase layout of a (N,C,*spatial) volume zero-padded by
+    ``params.padding``: the per-axis extent of one phase, and one
+    (grid index, volume index) pair per phase that places the volume in it."""
+    stride, padding = params.stride, params.padding
+    extents = tuple(-(-(n + 2 * p) // s) for n, s, p in zip(spatial, stride, padding))
     axes = []
     for n, s, p in zip(spatial, stride, padding):
         axis = []
@@ -95,27 +101,9 @@ def _phase_slices(spatial, stride, padding):
             q = (first + p) // s
             axis.append((i, slice(q, q + len(range(first, n, s))), slice(first, n, s)))
         axes.append(axis)
-    for (i, qt, vt), (j, qh, vh), (l, qw, vw) in product(*axes):
-        yield (slice(None), slice(None), i, j, l, qt, qh, qw), (Ellipsis, vt, vh, vw)
-
-
-def _to_phases(v, stride, padding):
-    """Zero-pad a (N,C,T,H,W) volume and split it by stride phase into a
-    (N, C, st, sh, sw, Tq, Hq, Wq) grid: phase (i,j,l) at (tq,hq,wq) holds the
-    padded voxel (i + st*tq, j + sh*hq, l + sw*wq)."""
-    grid = np.zeros(v.shape[:2] + tuple(stride)
-                    + _phase_extents(v.shape[2:], stride, padding), dtype=v.dtype)
-    for gi, vi in _phase_slices(v.shape[2:], stride, padding):
-        grid[gi] = v[vi]
-    return grid
-
-
-def _from_phases(grid, spatial, stride, padding):
-    """The unpadded (N,C,*spatial) volume of a phase grid; inverse of ``_to_phases``."""
-    v = np.empty(grid.shape[:2] + tuple(spatial), dtype=grid.dtype)
-    for gi, vi in _phase_slices(spatial, stride, padding):
-        v[vi] = grid[gi]
-    return v
+    slices = [((slice(None), slice(None), i, j, l, qt, qh, qw), (Ellipsis, vt, vh, vw))
+              for (i, qt, vt), (j, qh, vh), (l, qw, vw) in product(*axes)]
+    return extents, slices
 
 
 def _tap(stride, kernel_offset, extents):
@@ -127,36 +115,70 @@ def _tap(stride, kernel_offset, extents):
     return (slice(None), slice(None)) + phase + blocks
 
 
-def _im2col(grid, kernel, stride, out_spatial):
-    """Gather kernel windows of a phase grid into (N, C*kt*kh*kw, To*Ho*Wo),
+def _im2col(v, params, windows):
+    """Pad a (N,C,*spatial) volume into its phase grid and gather its kernel
+    windows, ``windows`` origins per axis, into (N, C*kt*kh*kw, To*Ho*Wo),
     window-major in (C, kt, kh, kw) order."""
-    n, c = grid.shape[:2]
-    cols = np.empty((n, c) + tuple(kernel) + tuple(out_spatial), dtype=grid.dtype)
+    n, c = v.shape[:2]
+    extents, slices = _phase_layout(v.shape[2:], params)
+    grid = np.zeros((n, c) + tuple(params.stride) + extents, dtype=v.dtype)
+    for gi, vi in slices:
+        grid[gi] = v[vi]
+    cols = np.empty((n, c) + tuple(params.kernel) + tuple(windows), dtype=v.dtype)
+    for a, b, d in np.ndindex(*params.kernel):
+        cols[:, :, a, b, d] = grid[_tap(params.stride, (a, b, d), windows)]
+    return cols.reshape(n, c * int(np.prod(params.kernel)), -1)
+
+
+def _correlate(w_mat, cols):
+    """Correlate the (C_out, C_in*K) weight with every window: (N, C_out, L)."""
+    return w_mat[None] @ cols
+
+
+def _correlate_adjoint(w_mat, g_mat, channels, params, windows, spatial):
+    """The data adjoint of ``_correlate`` over ``_im2col``: the transposed GEMM
+    onto ``windows`` origins, scatter-added tap by tap into a zeroed phase
+    grid, then cropped to the (N, channels, *spatial) volume."""
+    n = g_mat.shape[0]
+    kernel, stride = params.kernel, params.stride
+    cols = w_mat.T[None] @ g_mat
+    cols = cols.reshape((n, channels) + tuple(kernel) + tuple(windows))
+    extents, slices = _phase_layout(spatial, params)
+    grid = np.zeros((n, channels) + tuple(stride) + extents, dtype=g_mat.dtype)
     for a, b, d in np.ndindex(*kernel):
-        cols[:, :, a, b, d] = grid[_tap(stride, (a, b, d), out_spatial)]
-    return cols.reshape(n, c * int(np.prod(kernel)), -1)
+        grid[_tap(stride, (a, b, d), windows)] += cols[:, :, a, b, d]
+    v = np.empty((n, channels) + tuple(spatial), dtype=grid.dtype)
+    for gi, vi in slices:
+        v[vi] = grid[gi]
+    return v
 
 
-def _col2im(cols, channels, kernel, stride, in_spatial, phase_extents, dtype):
-    """Scatter-add the inverse of ``_im2col`` into a zeroed phase grid, tap by
-    tap in (kt, kh, kw) order."""
-    n = cols.shape[0]
-    cols = cols.reshape((n, channels) + tuple(kernel) + tuple(in_spatial))
-    grid = np.zeros((n, channels) + tuple(stride) + tuple(phase_extents), dtype=dtype)
-    for a, b, d in np.ndindex(*kernel):
-        grid[_tap(stride, (a, b, d), in_spatial)] += cols[:, :, a, b, d]
-    return grid
-
-
-def _batch_sum(per_sample):
-    """Sum of per-sample weight gradients. For one sample, ``sum`` would only
-    compute 0 + g, which ``_accumulate`` does anyway, so the copy is skipped."""
-    return per_sample[0] if len(per_sample) == 1 else per_sample.sum(axis=0)
+def _weight_gradient(weight, lhs, cols):
+    """Accumulate the sum over the batch of ``lhs[n] @ cols[n].T`` into the
+    weight's gradient. For one sample, the sum would only compute 0 + g,
+    which ``_accumulate`` does anyway, so the copy is skipped."""
+    dw = lhs @ cols.transpose(0, 2, 1)
+    dw = dw[0] if len(dw) == 1 else dw.sum(axis=0)
+    _accumulate(weight, dw.reshape(weight.values.shape))
 
 
 def _check_volume(x, what):
     if x.ndim != 5:
         raise DimensionError(f"{what} must be rank-5 (N,C,T,H,W), got {x.shape}")
+
+
+def _check_conv(x, weight, bias, params, transposed):
+    """Check the operands of conv3d, or of deconv3d when ``transposed``;
+    return (C_in, C_out)."""
+    _check_volume(x, ("deconv3d" if transposed else "conv3d") + " input")
+    c_in, c_out = weight.shape[:2] if transposed else weight.shape[1::-1]
+    if weight.shape[2:] != tuple(params.kernel) or c_out != params.num_filters:
+        raise DimensionError(f"weight shape {weight.shape} does not match {params}")
+    if x.shape[1] != c_in:
+        raise DimensionError(f"channel mismatch: input {x.shape[1]} vs weight {c_in}")
+    if bias.shape != (c_out,):
+        raise DimensionError(f"bias shape {bias.shape} != ({c_out},)")
+    return c_in, c_out
 
 
 def conv3d(x, weight, bias, params):
@@ -165,23 +187,13 @@ def conv3d(x, weight, bias, params):
     x: (N, C_in, T, H, W); weight: (C_out, C_in, kt, kh, kw); bias: (C_out,).
     Differentiable w.r.t. all three tensor arguments.
     """
-    _check_volume(x, "conv3d input")
-    c_out, c_in = weight.shape[:2]
-    if weight.shape[2:] != tuple(params.kernel) or c_out != params.num_filters:
-        raise DimensionError(f"weight shape {weight.shape} does not match {params}")
-    if x.shape[1] != c_in:
-        raise DimensionError(f"channel mismatch: input {x.shape[1]} vs weight {c_in}")
-    if bias.shape != (c_out,):
-        raise DimensionError(f"bias shape {bias.shape} != ({c_out},)")
-
+    c_in, c_out = _check_conv(x, weight, bias, params, transposed=False)
     n = x.shape[0]
     in_spatial = x.shape[2:]
     out_spatial = conv_output_shape(in_spatial, params)
-    stride, padding = params.stride, params.padding
-    cols = _im2col(_to_phases(x.values, stride, padding), params.kernel, stride,
-                   out_spatial)
+    cols = _im2col(x.values, params, out_spatial)
     w_mat = weight.values.reshape(c_out, -1)
-    out = w_mat[None] @ cols
+    out = _correlate(w_mat, cols)
     out += bias.values[None, :, None]
     out = out.reshape((n, c_out) + out_spatial)
     if not weight.requires_grad:
@@ -195,13 +207,10 @@ def conv3d(x, weight, bias, params):
             if cols is None:
                 raise ContractError("conv3d weight was frozen when the forward ran, "
                                     "so its cols were not kept; run the forward again")
-            dw = _batch_sum(g_mat @ cols.transpose(0, 2, 1))
-            _accumulate(weight, dw.reshape(weight.values.shape))
+            _weight_gradient(weight, g_mat, cols)
         if x.requires_grad:
-            dcols = w_mat.T[None] @ g_mat
-            grid = _col2im(dcols, c_in, params.kernel, stride, out_spatial,
-                           _phase_extents(in_spatial, stride, padding), g.dtype)
-            _accumulate(x, _from_phases(grid, in_spatial, stride, padding))
+            _accumulate(x, _correlate_adjoint(w_mat, g_mat, c_in, params, out_spatial,
+                                              in_spatial))
 
     return Tensor._from_op(out, (x, weight, bias), backward, "conv3d")
 
@@ -213,39 +222,23 @@ def deconv3d(x, weight, bias, params):
     x: (N, C_in, T, H, W); weight: (C_in, C_out, kt, kh, kw); bias: (C_out,).
     Output spatial extent per axis: (in - 1)*stride - 2*pad + kernel.
     """
-    _check_volume(x, "deconv3d input")
-    c_in, c_out = weight.shape[:2]
-    if weight.shape[2:] != tuple(params.kernel) or c_out != params.num_filters:
-        raise DimensionError(f"weight shape {weight.shape} does not match {params}")
-    if x.shape[1] != c_in:
-        raise DimensionError(f"channel mismatch: input {x.shape[1]} vs weight {c_in}")
-    if bias.shape != (c_out,):
-        raise DimensionError(f"bias shape {bias.shape} != ({c_out},)")
-
+    c_in, c_out = _check_conv(x, weight, bias, params, transposed=True)
     n = x.shape[0]
     in_spatial = x.shape[2:]
     out_spatial = deconv_output_shape(in_spatial, params)
-    stride, padding = params.stride, params.padding
-
     x_mat = x.values.reshape(n, c_in, -1)
     w_mat = weight.values.reshape(c_in, -1)  # (C_in, C_out*K)
-    cols = w_mat.T[None] @ x_mat  # (N, C_out*K, L_in)
-    grid = _col2im(cols, c_out, params.kernel, stride, in_spatial,
-                   _phase_extents(out_spatial, stride, padding), x.values.dtype)
-    out = _from_phases(grid, out_spatial, stride, padding)
+    out = _correlate_adjoint(w_mat, x_mat, c_out, params, in_spatial, out_spatial)
     out += bias.values[None, :, None, None, None]
 
     def backward(g):
-        gcols = _im2col(_to_phases(g, stride, padding), params.kernel, stride,
-                        in_spatial)
+        gcols = _im2col(g, params, in_spatial)
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3, 4)))
         if weight.requires_grad:
-            dw = _batch_sum(x_mat @ gcols.transpose(0, 2, 1))
-            _accumulate(weight, dw.reshape(weight.values.shape))
+            _weight_gradient(weight, x_mat, gcols)
         if x.requires_grad:
-            dx = w_mat[None] @ gcols
-            _accumulate(x, dx.reshape(x.values.shape))
+            _accumulate(x, _correlate(w_mat, gcols).reshape(x.values.shape))
 
     return Tensor._from_op(out, (x, weight, bias), backward, "deconv3d")
 
@@ -303,30 +296,27 @@ def batchnorm3d(x, state, mode, update_running=True):
             state.running_var *= 1.0 - w
             state.running_var += w * var.astype(state.running_var.dtype)
 
-        def backward(g):
-            if beta.requires_grad:
-                _accumulate(beta, g.sum(axis=axes))
-            if gamma.requires_grad:
-                _accumulate(gamma, (g * xhat).sum(axis=axes))
-            if x.requires_grad:
-                dxhat = g * gview
-                mean_d = dxhat.mean(axis=axes)[None, :, None, None, None]
-                mean_dx = (dxhat * xhat).mean(axis=axes)[None, :, None, None, None]
-                dx = (dxhat - mean_d - xhat * mean_dx) * inv_std[None, :, None, None, None]
-                _accumulate(x, dx)
+        def input_gradient(g):
+            dxhat = g * gview
+            mean_d = dxhat.mean(axis=axes)[None, :, None, None, None]
+            mean_dx = (dxhat * xhat).mean(axis=axes)[None, :, None, None, None]
+            return (dxhat - mean_d - xhat * mean_dx) * inv_std[None, :, None, None, None]
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
         xhat = ((x.values - state.running_mean[None, :, None, None, None])
                 * inv_std[None, :, None, None, None]).astype(x.values.dtype)
 
-        def backward(g):
-            if beta.requires_grad:
-                _accumulate(beta, g.sum(axis=axes))
-            if gamma.requires_grad:
-                _accumulate(gamma, (g * xhat).sum(axis=axes))
-            if x.requires_grad:
-                scale = (gamma.values * inv_std).astype(x.values.dtype)
-                _accumulate(x, g * scale[None, :, None, None, None])
+        def input_gradient(g):
+            scale = (gamma.values * inv_std).astype(x.values.dtype)
+            return g * scale[None, :, None, None, None]
+
+    def backward(g):
+        if beta.requires_grad:
+            _accumulate(beta, g.sum(axis=axes))
+        if gamma.requires_grad:
+            _accumulate(gamma, (g * xhat).sum(axis=axes))
+        if x.requires_grad:
+            _accumulate(x, input_gradient(g))
 
     out = xhat * gview + beta.values[None, :, None, None, None]
     return Tensor._from_op(out, (x, gamma, beta), backward, "batchnorm3d")

@@ -183,6 +183,46 @@ class TestEvaluate:
         assert len(lines) == 4
         assert "psnr(mean mse)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_fewer_than_one_clip_exit_2(self, workspace, tmp_path, capsys, n):
+        out = tmp_path / "eval.csv"
+        code = main(["evaluate", "--checkpoint", str(workspace["g1"]),
+                     "--store", str(workspace["store"]), "--n", n,
+                     "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "at least 1 clip" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _store_with_manifest(tmp_path, raw):
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "manifest.jsonl").write_bytes(raw)
+    return store
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("line", [b'{"source_id": "synth000",',
+                                      b'{"source_id": "synth000"}',
+                                      b'{"source_id": "synth\xff"}'],
+                             ids=["bad_json", "missing_fields", "not_utf8"])
+    @pytest.mark.parametrize("command", ["inspect", "train-stage1", "evaluate"])
+    def test_exit_3_naming_the_line(self, workspace, tmp_path, capsys, command, line):
+        first = (workspace["store"] / "manifest.jsonl").read_bytes().splitlines()[0]
+        store = _store_with_manifest(tmp_path, first + b"\n" + line + b"\n")
+        args = {"inspect": ["inspect", str(store)],
+                "train-stage1": ["train-stage1", "--store", str(store),
+                                 "--out", str(tmp_path / "run")],
+                "evaluate": ["evaluate", "--checkpoint", str(workspace["g1"]),
+                             "--store", str(store), "--out", str(tmp_path / "e.csv")]}
+        assert main(args[command]) == 3
+        assert f"{store / 'manifest.jsonl'}:2:" in capsys.readouterr().err
+
+    def test_inspect_empty_manifest(self, tmp_path, capsys):
+        store = _store_with_manifest(tmp_path, b"")
+        assert main(["inspect", str(store)]) == 0
+        assert f"store {store}: 0 clips, 0 sources" in capsys.readouterr().out
+
 
 class TestInspect:
     def test_spec_table(self, capsys):

@@ -516,6 +516,45 @@ class TestPhaseLayoutMatchesStrided:
             assert_matches_strided(params, 1, c_in, c_out, spatial, dtype, rng)
 
 
+class TestConvDeconvPairing:
+    """deconv3d's forward is conv3d's input gradient, and deconv3d's input
+    gradient is conv3d's forward, bit for bit in float32."""
+
+    @pytest.mark.parametrize("resolution", [64, 128])
+    def test_network_layers(self, resolution):
+        rng = np.random.default_rng(resolution)
+
+        def f32(shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        def zeros(c):
+            return Tensor(np.zeros(c, dtype=np.float32))
+
+        for params, spatial in _net_geometries(resolution):
+            if params.transposed:  # pair it with the conv whose output it takes
+                spatial = ops.deconv_output_shape(spatial, params)
+            c_in, c_out = (1, 1) if np.prod(spatial) > 2 ** 15 else (2, 3)
+            geometry = (params.kernel, params.stride, params.padding)
+            conv = ConvParams(c_out, *geometry)
+            deconv = ConvParams(c_in, *geometry, transposed=True)
+            w = Tensor(f32((c_out, c_in) + params.kernel))
+
+            x = Tensor(f32((2, c_in) + tuple(spatial)), requires_grad=True)
+            out = ops.conv3d(x, w, zeros(c_out), conv)
+            y = f32(out.shape)
+            out._backward(y)
+            up = ops.deconv3d(Tensor(y), w, zeros(c_in), deconv).values
+            assert up.dtype == x.grad.dtype == np.float32
+            assert np.array_equal(up, x.grad), (params, spatial)
+
+            yt = Tensor(y, requires_grad=True)
+            g = f32(x.shape)
+            ops.deconv3d(yt, w, zeros(c_in), deconv)._backward(g)
+            down = ops.conv3d(Tensor(g), w, zeros(c_out), conv).values
+            assert down.dtype == yt.grad.dtype == np.float32
+            assert np.array_equal(down, yt.grad), (params, spatial)
+
+
 class TestLeakyReluMask:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_equals_slope_product(self, dtype):
