@@ -11,6 +11,10 @@ from pathlib import Path
 
 from .errors import ConfigError
 
+_CHOICES = {"resolution": (128, 64), "loss_reduction": ("mean", "sum"),
+            "adv_form": ("saturating", "nonsaturating"),
+            "generation_bn_mode": ("running", "batch"), "g2_init": ("g1", "fresh")}
+
 
 @dataclass
 class RunConfig:
@@ -36,22 +40,18 @@ class RunConfig:
     log_every: int = 1
 
     def validate(self):
-        if self.resolution not in (128, 64):
-            raise ConfigError(f"resolution must be 128 or 64, got {self.resolution}")
+        for key, allowed in _CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"{key} must be {' or '.join(map(str, allowed))}, "
+                                  f"got {getattr(self, key)}")
         if not 0.0 < self.width_multiplier <= 1.0:
-            raise ConfigError("width_multiplier must lie in (0,1]")
+            raise ConfigError(
+                f"width_multiplier must lie in (0,1], got {self.width_multiplier}")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.loss_reduction not in ("mean", "sum"):
-            raise ConfigError(f"loss_reduction must be mean or sum, got {self.loss_reduction}")
-        if self.adv_form not in ("saturating", "nonsaturating"):
-            raise ConfigError(f"adv_form must be saturating or nonsaturating")
-        if self.generation_bn_mode not in ("running", "batch"):
-            raise ConfigError("generation_bn_mode must be running or batch")
-        if self.g2_init not in ("g1", "fresh"):
-            raise ConfigError("g2_init must be g1 or fresh")
-        if min(self.iterations, self.checkpoint_every, self.log_every) < 1:
-            raise ConfigError("iterations, checkpoint_every and log_every must be >= 1")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for key in ("iterations", "checkpoint_every", "log_every"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         return self
 
     def as_dict(self):

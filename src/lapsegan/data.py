@@ -16,7 +16,7 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +147,22 @@ def records_sha256(records):
     return hashlib.sha256("".join(map(_manifest_line, records)).encode()).hexdigest()
 
 
+def _checked_record(values):
+    """The ClipRecord of one manifest line; ValueError if a field has the
+    wrong type or value, or the clip file would lie outside ``clips/``."""
+    rec = ClipRecord(**values)
+    wrong = [f.name for f in fields(rec) if type(values[f.name]).__name__ != f.type]
+    if wrong:
+        raise ValueError(f"wrong type for {', '.join(wrong)}")
+    if rec.split not in ("train", "test"):
+        raise ValueError(f"split must be train or test, got {rec.split!r}")
+    if min(rec.h, rec.w) < 1:
+        raise ValueError(f"clip size {rec.h}x{rec.w} is not positive")
+    if rec.file in ("", ".", "..") or Path(rec.file).name != rec.file:
+        raise ValueError(f"file {rec.file!r} is not a bare name inside clips/")
+    return rec
+
+
 def read_manifest(store_dir):
     path = Path(store_dir) / "manifest.jsonl"
     if not path.exists():
@@ -155,7 +171,7 @@ def read_manifest(store_dir):
     for number, line in enumerate(path.read_bytes().splitlines(), start=1):
         if line.strip():
             try:
-                records.append(ClipRecord(**json.loads(line)))
+                records.append(_checked_record(json.loads(line)))
             except (ValueError, TypeError) as exc:
                 raise IntegrityError(f"{path}:{number}: malformed manifest record "
                                      f"({exc})") from exc

@@ -53,10 +53,10 @@ def adversarial_terms(d_real, d_fake, form="saturating"):
     if form not in ("saturating", "nonsaturating"):
         raise ConfigError(f"unknown adversarial form {form!r}")
     d_real = _clamped_scores(d_real, "real")
-    loss_g = generator_adversarial(d_fake, form)
     d_fake = _clamped_scores(d_fake, "fake")
     loss_d = -(log(d_real).mean() + log(1.0 - d_fake).mean())
-    return loss_d, loss_g
+    # d_fake now lies in [eps, 1-eps]: generator_adversarial neither clamps nor warns
+    return loss_d, generator_adversarial(d_fake, form)
 
 
 def generator_adversarial(d_fake, form="saturating"):
@@ -88,7 +88,6 @@ class GramDescriptor:
 
     matrix: Tensor
     layer_id: str
-    normalization: float
 
 
 def gram(features, layer_id="", batch_mean=False):
@@ -107,7 +106,7 @@ def gram(features, layer_id="", batch_mean=False):
     scale = 1.0 / (m * s * (n if batch_mean else 1))
     matrix = prod.sum(axes=0) * scale
     _assert_symmetric(matrix.values)
-    return GramDescriptor(matrix=matrix, layer_id=layer_id, normalization=scale)
+    return GramDescriptor(matrix=matrix, layer_id=layer_id)
 
 
 def _assert_symmetric(g, rel=1e-6):

@@ -218,8 +218,8 @@ def _bn_state(params, name, eps, momentum):
     return BatchNormState(
         gamma=params.tensors[f"{name}.gamma"],
         beta=params.tensors[f"{name}.beta"],
-        running_mean=params.buffers[f"{name}.running_mean"],
-        running_var=params.buffers[f"{name}.running_var"],
+        running_mean=params.buffers.get(f"{name}.running_mean"),
+        running_var=params.buffers.get(f"{name}.running_var"),
         momentum=momentum, eps=eps)
 
 
@@ -312,13 +312,13 @@ def _short_clip(layer, t_in, constant):
     return None
 
 
-def forward_discriminator(spec, params, video, mode="train", update_running=True,
-                          bn_eps=BN_EPS, bn_momentum=BN_MOMENTUM):
+def forward_discriminator(spec, params, video, bn_eps=BN_EPS):
     """Score a video and return the tapped post-activation features.
 
     Returns (score, features): score (N,1) strictly inside (0,1), features a
     list of tap activations in tap order. Inputs outside [-1,1] are clamped
-    with a logged warning; gradients flow through both outputs.
+    with a logged warning; gradients flow through both outputs. Batch norm
+    always uses batch statistics: a discriminator keeps no running ones.
     """
     if tuple(video.shape[1:]) != tuple(spec.input_shape):
         raise DimensionError(
@@ -330,8 +330,7 @@ def forward_discriminator(spec, params, video, mode="train", update_running=True
     cur = video
     features = {}
     for layer in spec.layers:
-        cur = _apply_layer(layer, params, cur, mode, update_running,
-                           bn_eps, bn_momentum)
+        cur = _apply_layer(layer, params, cur, "train", False, bn_eps, BN_MOMENTUM)
         if layer.name in spec.taps:
             features[layer.name] = cur
     n = cur.shape[0]

@@ -245,20 +245,21 @@ def deconv3d(x, weight, bias, params):
 
 @dataclass
 class BatchNormState:
-    """Learnable scale/shift plus running statistics for one channel axis."""
+    """Learnable scale/shift plus (generators only) running statistics."""
 
     gamma: Tensor
     beta: Tensor
-    running_mean: np.ndarray
-    running_var: np.ndarray
+    running_mean: np.ndarray | None = None
+    running_var: np.ndarray | None = None
     momentum: float = BN_MOMENTUM
     eps: float = BN_EPS
 
     def __post_init__(self):
         c = self.gamma.shape[0]
-        if not (self.beta.shape == (c,) and self.running_mean.shape == (c,)
-                and self.running_var.shape == (c,)):
-            raise DimensionError("batch-norm state extents must all equal channel count")
+        stats = (self.beta, self.running_mean, self.running_var)
+        if [getattr(a, "shape", None) for a in stats] not in ([(c,)] * 3, [(c,), None, None]):
+            raise DimensionError("batch-norm state extents must all equal channel count, "
+                                 "with both running statistics or neither")
         if not 0.0 < self.momentum < 1.0:
             raise ContractError("momentum must lie in (0,1)")
 
@@ -267,12 +268,14 @@ def batchnorm3d(x, state, mode, update_running=True):
     """Per-channel batch normalization over the (N,T,H,W) axes.
 
     train mode normalizes with batch statistics (differentiable through
-    them) and folds the batch stats into the running averages; inference
-    mode uses the stored running statistics.
+    them) and, if ``update_running``, folds them into the running averages;
+    inference mode uses the stored running statistics.
     """
     _check_volume(x, "batchnorm3d input")
     if mode not in ("train", "inference"):
         raise ContractError(f"unknown batchnorm mode {mode!r}")
+    if state.running_mean is None and (mode == "inference" or update_running):
+        raise ContractError("batch-norm state has no running statistics")
     c = x.shape[1]
     if state.gamma.shape[0] != c:
         raise DimensionError(f"channel mismatch: input {c} vs state {state.gamma.shape[0]}")
@@ -392,7 +395,7 @@ def init_parameters(spec, seed, dtype=np.float32):
     """Draw a fresh parameter set for a network spec, deterministic per seed.
 
     Conv/deconv weights ~ N(0, 0.02^2), biases 0; batch-norm gamma
-    ~ N(1, 0.02^2), beta 0, running stats (0, 1).
+    ~ N(1, 0.02^2), beta 0, and in generators only running stats (0, 1).
     """
     rng = np.random.default_rng(seed)
     params = ParameterSet()
@@ -413,8 +416,9 @@ def init_parameters(spec, seed, dtype=np.float32):
                 g.astype(dtype), requires_grad=True)
             params.tensors[f"{layer.name}.beta"] = Tensor(
                 np.zeros(layer.out_channels, dtype=dtype), requires_grad=True)
-            params.buffers[f"{layer.name}.running_mean"] = np.zeros(
-                layer.out_channels, dtype=dtype)
-            params.buffers[f"{layer.name}.running_var"] = np.ones(
-                layer.out_channels, dtype=dtype)
+            if spec.kind == "generator":
+                params.buffers[f"{layer.name}.running_mean"] = np.zeros(
+                    layer.out_channels, dtype=dtype)
+                params.buffers[f"{layer.name}.running_var"] = np.ones(
+                    layer.out_channels, dtype=dtype)
     return params

@@ -75,16 +75,10 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.values = values
         out.grad = None
-        if recording(parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-            out._op = op
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward = None
-            out._op = op
+        out._op = op
+        out.requires_grad = recording(parents)
+        out._parents = tuple(parents) if out.requires_grad else ()
+        out._backward = backward if out.requires_grad else None
         return out
 
     # -- introspection -------------------------------------------------
@@ -114,14 +108,7 @@ class Tensor:
 
     def detach(self):
         """A view of the same values cut off from the recorded graph."""
-        out = Tensor.__new__(Tensor)
-        out.values = self.values
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._backward = None
-        out._op = "detach"
-        return out
+        return Tensor._from_op(self.values, (), None, "detach")
 
     # -- operator sugar ------------------------------------------------
 

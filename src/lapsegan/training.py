@@ -390,11 +390,11 @@ def stage1_d_objective(nets, y, x, cfg):
     """The discriminator's loss on one batch,
     -mean[log D(Y) + log(1 - D(G1(X)))]; gradients flow only into D1."""
     g_spec, g_params, d_spec, d_params = nets
-    bn = dict(bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
     with no_grad():
-        y1 = forward_generator(g_spec, g_params, x, **bn)
-    d_real, _ = forward_discriminator(d_spec, d_params, y, **bn)
-    d_fake, _ = forward_discriminator(d_spec, d_params, y1, **bn)
+        y1 = forward_generator(g_spec, g_params, x, bn_eps=cfg.bn_eps,
+                               bn_momentum=cfg.bn_momentum)
+    d_real, _ = forward_discriminator(d_spec, d_params, y, cfg.bn_eps)
+    d_fake, _ = forward_discriminator(d_spec, d_params, y1, cfg.bn_eps)
     loss_d, _ = adversarial_terms(d_real, d_fake, cfg.adv_form)
     return loss_d
 
@@ -404,9 +404,9 @@ def stage1_g_objective(nets, y, x, cfg):
     mean[log(1 - D(G1(X)))] + content. Returns (objective, adv_g, content)
     tensors; the discriminator's gradients are cleared before its next step."""
     g_spec, g_params, d_spec, d_params = nets
-    bn = dict(bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
-    y1 = forward_generator(g_spec, g_params, x, **bn)
-    d_fake, _ = forward_discriminator(d_spec, d_params, y1, **bn)
+    y1 = forward_generator(g_spec, g_params, x, bn_eps=cfg.bn_eps,
+                           bn_momentum=cfg.bn_momentum)
+    d_fake, _ = forward_discriminator(d_spec, d_params, y1, cfg.bn_eps)
     adv_g = generator_adversarial(d_fake, cfg.adv_form)
     l_con = content_loss(y, y1, cfg.loss_reduction)
     return adv_g + l_con, adv_g, l_con
@@ -426,6 +426,7 @@ def train_stage1(store, cfg, out_dir=None, resume=None):
     if resume is not None:
         _check_resume(resume, 1, cfg, train_sha)
         params, adam, start = resume.params, resume.adam, resume.iteration
+        params["d1"].buffers.clear()  # unread running statistics older files carry
     else:
         params = {"g1": init_parameters(g_spec, _init_seed(cfg, 1)),
                   "d1": init_parameters(d_spec, _init_seed(cfg, 2))}
@@ -457,7 +458,7 @@ def _gram_triples(cfg, taps, feats_y1, feats_y2, feats_real):
     return triples
 
 
-def stage2_d_objective(nets, y, x, cfg, update_running=True):
+def stage2_d_objective(nets, y, x, cfg):
     """The discriminator's ascent objective on one batch:
     mean[log D(Y) + log(1 - D(G2(Y1)))] + lambda * rank. Returns
     (objective, adv_loss_d, rank) tensors; gradients flow only into D2."""
@@ -466,21 +467,17 @@ def stage2_d_objective(nets, y, x, cfg, update_running=True):
     taps = cfg.tap_names(d_spec)
     with no_grad():
         y1 = forward_generator(g1_spec, g1_params, x, update_running=False, **bn)
-        y2 = forward_generator(g2_spec, g2_params, y1,
-                               update_running=update_running, **bn)
-    d_real, feats_real = forward_discriminator(d_spec, d_params, y,
-                                               update_running=update_running, **bn)
-    d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2,
-                                             update_running=update_running, **bn)
-    _, feats_y1 = forward_discriminator(d_spec, d_params, y1,
-                                        update_running=update_running, **bn)
+        y2 = forward_generator(g2_spec, g2_params, y1, **bn)
+    d_real, feats_real = forward_discriminator(d_spec, d_params, y, cfg.bn_eps)
+    d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2, cfg.bn_eps)
+    _, feats_y1 = forward_discriminator(d_spec, d_params, y1, cfg.bn_eps)
     loss_d, _ = adversarial_terms(d_real, d_fake, cfg.adv_form)
     rank = rank_loss_total(_gram_triples(cfg, taps, feats_y1, feats_y2, feats_real))
     objective = -loss_d + cfg.lambda_rank * rank
     return objective, loss_d, rank
 
 
-def stage2_g_objective(nets, y, x, cfg, update_running=True):
+def stage2_g_objective(nets, y, x, cfg):
     """The generator's descent objective on one batch:
     mean[log(1 - D(G2(Y1)))] + lambda * rank + content. Returns
     (objective, adv_g, rank, content) tensors; gradients flow only into G2."""
@@ -489,14 +486,10 @@ def stage2_g_objective(nets, y, x, cfg, update_running=True):
     taps = cfg.tap_names(d_spec)
     with no_grad():
         y1 = forward_generator(g1_spec, g1_params, x, update_running=False, **bn)
-        _, feats_real = forward_discriminator(d_spec, d_params, y,
-                                              update_running=update_running, **bn)
-        _, feats_y1 = forward_discriminator(d_spec, d_params, y1,
-                                            update_running=update_running, **bn)
-    y2 = forward_generator(g2_spec, g2_params, y1,
-                           update_running=update_running, **bn)
-    d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2,
-                                             update_running=update_running, **bn)
+        _, feats_real = forward_discriminator(d_spec, d_params, y, cfg.bn_eps)
+        _, feats_y1 = forward_discriminator(d_spec, d_params, y1, cfg.bn_eps)
+    y2 = forward_generator(g2_spec, g2_params, y1, **bn)
+    d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2, cfg.bn_eps)
     adv_g = generator_adversarial(d_fake, cfg.adv_form)
     rank = rank_loss_total(_gram_triples(cfg, taps, feats_y1, feats_y2, feats_real))
     l_con = content_loss(y, y2, cfg.loss_reduction)
@@ -543,6 +536,7 @@ def train_stage2(store, cfg, g1_checkpoint, out_dir=None, resume=None):
             raise ConfigError("the stage-2 checkpoint was trained on a different "
                               "stage-1 generator than the one given")
         params, adam, start = resume.params, resume.adam, resume.iteration
+        params["d2"].buffers.clear()  # unread running statistics older files carry
     else:
         g2_params = (g1_params.clone() if cfg.g2_init == "g1"
                      else init_parameters(g2_spec, _init_seed(cfg, 3)))

@@ -165,8 +165,7 @@ def test_criterion_02_gradient_suite():
 
     def composite(v):
         y = forward_generator(g2_spec, gp, v, update_running=False)
-        score, _ = forward_discriminator(d_spec, dp64, y,
-                                         update_running=False)
+        score, _ = forward_discriminator(d_spec, dp64, y)
         return T.log(score).sum()
 
     check("composite/D(G(x))", composite, Tensor(x0, dtype=np.float64),
@@ -180,13 +179,10 @@ def test_criterion_02_gradient_suite():
     def refine_objective(v):
         gp.tensors[bias_name] = v
         y2 = forward_generator(g2_spec, gp, y1_in, update_running=False)
-        d_fake, feats_y2 = forward_discriminator(d_spec, dp64, y2,
-                                                 update_running=False)
+        d_fake, feats_y2 = forward_discriminator(d_spec, dp64, y2)
         with T.no_grad():
-            _, feats_real = forward_discriminator(d_spec, dp64, y_real,
-                                                  update_running=False)
-            _, feats_y1 = forward_discriminator(d_spec, dp64, y1_in,
-                                                update_running=False)
+            _, feats_real = forward_discriminator(d_spec, dp64, y_real)
+            _, feats_y1 = forward_discriminator(d_spec, dp64, y1_in)
         taps = cfg.tap_names(d_spec)
         triples = [(gram(a, n), gram(b, n), gram(c, n)) for n, a, b, c
                    in zip(taps, feats_y1, feats_y2, feats_real)]
@@ -213,11 +209,11 @@ def test_criterion_03_loss_identities():
         if abs(dp - dm) >= 30.0:
             continue
         naive = -math.log(math.exp(-dp) / (math.exp(-dp) + math.exp(-dm)))
-        mk = lambda v: GramDescriptor(t64([[v]]), "l", 1.0)
+        mk = lambda v: GramDescriptor(t64([[v]]), "l")
         got = rank_loss_layer(mk(dm), mk(0.0), mk(dp)).item()
         assert abs(got - naive) < 1e-9
 
-    mk = lambda v: GramDescriptor(t64([[v]]), "l", 1.0)
+    mk = lambda v: GramDescriptor(t64([[v]]), "l")
     assert abs(rank_loss_layer(mk(0.7), mk(0.0), mk(0.7)).item() - LN2) < 1e-9
 
     r2 = stage2_objective(1.25, -0.5, 0.3, rank=7.7, lam=0.0, iteration=1)

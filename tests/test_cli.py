@@ -1,3 +1,5 @@
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -218,6 +220,25 @@ class TestMalformedManifest:
         assert main(args[command]) == 3
         assert f"{store / 'manifest.jsonl'}:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [
+        {"clip_index": "zero", "file": "../../etc/x.mdt", "h": "big", "source_id": 7,
+         "split": "train", "w": None},
+        {"source_id": 7}, {"clip_index": "zero"}, {"clip_index": 1.0},
+        {"file": 3}, {"split": None}, {"h": "big"}, {"w": None}, {"h": True},
+        {"split": "validation"}, {"h": 0}, {"w": -64},
+        {"file": "../../etc/x.mdt"}, {"file": "sub/x.mdt"}, {"file": "/x.mdt"},
+        {"file": ".."}, {"file": ""}],
+        ids=lambda f: "exact_line" if len(f) > 1 else "{}={!r}".format(*next(iter(f.items()))))
+    def test_invalid_record_exit_3(self, workspace, tmp_path, capsys, fields):
+        lines = (workspace["store"] / "manifest.jsonl").read_bytes().splitlines()
+        record = {**json.loads(lines[0]), **fields}
+        store = _store_with_manifest(tmp_path, b"\n".join(
+            [lines[0], json.dumps(record, sort_keys=True).encode(), b""]))
+        assert main(["inspect", str(store)]) == 3
+        captured = capsys.readouterr()
+        assert f"{store / 'manifest.jsonl'}:2:" in captured.err
+        assert "resolution" not in captured.out
+
     def test_inspect_empty_manifest(self, tmp_path, capsys):
         store = _store_with_manifest(tmp_path, b"")
         assert main(["inspect", str(store)]) == 0
@@ -242,6 +263,13 @@ class TestInspect:
         assert main(["inspect", str(workspace["g2"])]) == 0
         out = capsys.readouterr().out
         assert "stage 2" in out and "d2, g1, g2" in out
+
+    def test_only_generators_carry_buffers(self, workspace, capsys):
+        assert main(["inspect", str(workspace["g2"])]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^  d2: [1-9]\d* parameters, 0 buffers$", out, re.M)
+        for net in ("g1", "g2"):
+            assert re.search(rf"^  {net}: [1-9]\d* parameters, [1-9]\d* buffers$", out, re.M)
 
     def test_missing_target_exit_3(self, tmp_path):
         assert main(["inspect", str(tmp_path / "nope.mdck")]) == 3

@@ -21,6 +21,16 @@ class TestDefaults:
         with pytest.raises(ConfigError):
             RunConfig(loss_reduction="median").validate()
 
+    @pytest.mark.parametrize("key, value", [
+        ("resolution", 96), ("width_multiplier", 1.5), ("batch_size", 0),
+        ("loss_reduction", "median"), ("adv_form", "wasserstein"),
+        ("generation_bn_mode", "ema"), ("g2_init", "zeros"),
+        ("iterations", -3), ("checkpoint_every", -4), ("log_every", -5)])
+    def test_messages_name_the_bad_value(self, key, value):
+        with pytest.raises(ConfigError, match=key) as err:
+            RunConfig(**{key: value}).validate()
+        assert f"{value}" in str(err.value)
+
     @pytest.mark.parametrize("key", ["iterations", "checkpoint_every", "log_every"])
     def test_schedule_lengths_at_least_one(self, key):
         with pytest.raises(ConfigError, match=key):

@@ -25,7 +25,7 @@ def scores(*vals):
 
 
 def desc(matrix, layer="l1"):
-    return GramDescriptor(matrix=t64(matrix), layer_id=layer, normalization=1.0)
+    return GramDescriptor(matrix=t64(matrix), layer_id=layer)
 
 
 class TestAdversarial:
@@ -43,6 +43,23 @@ class TestAdversarial:
             loss_d, loss_g = adversarial_terms(scores(1.0), scores(0.0))
         assert np.isfinite(loss_d.item()) and np.isfinite(loss_g.item())
         assert any("clamping" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("form", ["saturating", "nonsaturating"])
+    def test_saturated_fake_scores_clamped_once(self, caplog, monkeypatch, form):
+        clamps = []
+
+        def counting_clamp(*args):
+            clamps.append(args)
+            return T.clamp(*args)
+
+        monkeypatch.setattr(losses, "clamp", counting_clamp)
+        with caplog.at_level("WARNING", logger="lapsegan.losses"):
+            loss_d, loss_g = adversarial_terms(scores(0.5), scores(0.0), form)
+        assert [r.message for r in caplog.records] == [
+            f"fake scores saturated outside [{losses.SCORE_EPS:g}, "
+            f"1-{losses.SCORE_EPS:g}]; clamping"]
+        assert len(clamps) == 1
+        assert np.isfinite(loss_d.item()) and np.isfinite(loss_g.item())
 
     def test_generator_gradient_matches_finite_differences(self):
         err = T.grad_check(

@@ -334,8 +334,7 @@ class TestEndToEnd:
 
         def f(v):
             y = forward_generator(gspec, gp, v, update_running=False)
-            score, _ = forward_discriminator(dspec, dp, y,
-                                             update_running=False)
+            score, _ = forward_discriminator(dspec, dp, y)
             return T.log(score).sum()
 
         err = T.grad_check(f, Tensor(x0, dtype=np.float64), step=1e-5,

@@ -217,6 +217,20 @@ class TestBatchNorm:
         ops.batchnorm3d(t64(x), st, "train", update_running=False)
         assert_array_equal(st.running_mean, before)
 
+    def test_state_without_running_stats(self):
+        # a discriminator's state: batch statistics only, no running averages
+        rng = np.random.default_rng(9)
+        x = t64(rng.standard_normal((2, 3, 2, 4, 4)) + 5.0)
+        full = make_bn_state(3)
+        st = BatchNormState(gamma=full.gamma, beta=full.beta)
+        assert_array_equal(ops.batchnorm3d(x, st, "train", update_running=False).values,
+                           ops.batchnorm3d(x, full, "train", update_running=False).values)
+        for mode, update in (("train", True), ("inference", False)):
+            with pytest.raises(ContractError, match="no running statistics"):
+                ops.batchnorm3d(x, st, mode, update_running=update)
+        with pytest.raises(DimensionError, match="both running statistics or neither"):
+            BatchNormState(gamma=full.gamma, beta=full.beta, running_mean=np.zeros(3))
+
     def test_inference_uses_running_stats(self):
         st = make_bn_state(1)
         st.running_mean[:] = 2.0
@@ -310,6 +324,7 @@ class _Layer:
 class _Spec:
     def __init__(self, layers):
         self.layers = layers
+        self.kind = "generator"
 
 
 class TestInit:

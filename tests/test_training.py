@@ -461,13 +461,13 @@ class TestStage2:
                 build_discriminator(64, 0.125), d2p)
         y, x = load_batch(store64, "train", 2, seed=1)
 
-        obj, _, _ = stage2_d_objective(nets, y, x, cfg, update_running=False)
+        obj, _, _ = stage2_d_objective(nets, y, x, cfg)
         backward(-obj)
         assert all(t.grad is not None for t in d2p.tensors.values())
         assert all(t.grad is None for t in g2p.tensors.values())
         d2p.zero_grad()
 
-        total, _, _, _ = stage2_g_objective(nets, y, x, cfg, update_running=False)
+        total, _, _, _ = stage2_g_objective(nets, y, x, cfg)
         backward(total)
         assert all(t.grad is not None for t in g2p.tensors.values())
         assert all(t.grad is None for t in g1p.tensors.values())
@@ -560,8 +560,8 @@ def direction_probe(store, stage1_ckpt, seed, step=1e-4):
         params.zero_grad()
         return before, after
 
-    d_obj = lambda: stage2_d_objective(nets, y, x, cfg, update_running=False)[0]
-    g_obj = lambda: stage2_g_objective(nets, y, x, cfg, update_running=False)[0]
+    d_obj = lambda: stage2_d_objective(nets, y, x, cfg)[0]
+    g_obj = lambda: stage2_g_objective(nets, y, x, cfg)[0]
     d_before, d_after = probe(d2p, d_obj, sign=-1.0)   # Adam minimizes -objective
     g_before, g_after = probe(g2p, g_obj, sign=1.0)
     return {"d_ascends": d_after > d_before, "g_descends": g_after < g_before,
@@ -646,3 +646,66 @@ class TestResumeStore:
         for net, ps in straight.params.items():
             for k, t in ps.tensors.items():
                 assert_array_equal(t.values, resumed.params[net].tensors[k].values)
+
+
+class TestDiscriminatorBuffers:
+    """Discriminators keep no batch-norm running statistics: fresh runs write
+    none, and a file that still carries them resumes as if it did not."""
+
+    def run(self, stage, store, stage1_ckpt, iterations, out_dir, resume=None):
+        cfg = desk_config(iterations=iterations)
+        if stage == 1:
+            return train_stage1(store, cfg, out_dir=out_dir, resume=resume)[0]
+        return train_stage2(store, cfg, stage1_ckpt, out_dir=out_dir, resume=resume)[0]
+
+    def test_fresh_runs_write_generator_buffers_only(self, store64, tmp_path):
+        from lapsegan.models import build_generator
+        n_bn = sum(l.batch_norm for l in build_generator(1, 64, 0.125).layers)
+        ck1 = self.run(1, store64, None, 1, tmp_path / "s1")
+        ck2 = self.run(2, store64, ck1, 1, tmp_path / "s2")
+        files = [load_checkpoint(tmp_path / "s1" / "stage1_final.mdck"),
+                 load_checkpoint(tmp_path / "s2" / "stage2_final.mdck")]
+        for ckpt in [ck1, ck2] + files:
+            assert set(ckpt.params) in ({"g1", "d1"}, {"g1", "g2", "d2"})
+            for net, ps in ckpt.params.items():
+                assert len(ps.buffers) == (0 if net.startswith("d") else 2 * n_bn), net
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_file_with_discriminator_buffers_resumes_bitwise(
+            self, stage, store64, stage1_ckpt, tmp_path):
+        import shutil
+        d_net, name = f"d{stage}", f"stage{stage}_final.mdck"
+        self.run(stage, store64, stage1_ckpt, 2, tmp_path / "new")
+        shutil.copytree(tmp_path / "new", tmp_path / "old")
+        old = load_checkpoint(tmp_path / "old" / name)
+        rng = np.random.default_rng(0)
+        for k in [k for k in old.params[d_net].tensors if k.endswith(".gamma")]:
+            c = old.params[d_net].tensors[k].shape[0]
+            layer = k[:-len(".gamma")]
+            old.params[d_net].buffers[f"{layer}.running_mean"] = rng.normal(
+                0.0, 0.1, c).astype(np.float32)
+            old.params[d_net].buffers[f"{layer}.running_var"] = rng.uniform(
+                0.5, 1.5, c).astype(np.float32)
+        save_checkpoint(old, tmp_path / "old" / name)
+        assert load_checkpoint(tmp_path / "old" / name).params[d_net].buffers
+
+        runs = {}
+        for run in ("new", "old"):
+            resume = load_checkpoint(tmp_path / run / name)
+            runs[run] = self.run(stage, store64, stage1_ckpt, 4, tmp_path / run,
+                                 resume=resume)
+        new, old = runs["new"], runs["old"]
+        assert ((tmp_path / "new" / "losses.csv").read_bytes()
+                == (tmp_path / "old" / "losses.csv").read_bytes())
+        for net, ps in new.params.items():
+            for k, t in ps.tensors.items():
+                assert_array_equal(t.values, old.params[net].tensors[k].values)
+            assert ps.buffers.keys() == old.params[net].buffers.keys()
+            for k, b in ps.buffers.items():
+                assert_array_equal(b, old.params[net].buffers[k])
+        for net, st in new.adam.items():
+            assert st.t == old.adam[net].t
+            for k in st.m:
+                assert_array_equal(st.m[k], old.adam[net].m[k])
+                assert_array_equal(st.v[k], old.adam[net].v[k])
+        assert load_checkpoint(tmp_path / "old" / name).params[d_net].buffers == {}
