@@ -157,8 +157,8 @@ def cmd_train_stage2(args):
 
 def cmd_generate(args):
     from .data import export_clip, normalize_pixels, read_ppm
-    from .training import generate_video, load_checkpoint
-    ckpt = load_checkpoint(args.checkpoint)
+    from .training import GENERATORS, generate_video, load_checkpoint
+    ckpt = load_checkpoint(args.checkpoint, nets=GENERATORS)
     frame = read_ppm(args.frame)
     res = ckpt.config["resolution"]
     if frame.shape[:2] != (res, res):

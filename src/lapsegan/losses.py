@@ -54,9 +54,16 @@ def adversarial_terms(d_real, d_fake, form="saturating"):
         raise ConfigError(f"unknown adversarial form {form!r}")
     d_real = _clamped_scores(d_real, "real")
     d_fake = _clamped_scores(d_fake, "fake")
-    loss_d = -(log(d_real).mean() + log(1.0 - d_fake).mean())
-    # d_fake now lies in [eps, 1-eps]: generator_adversarial neither clamps nor warns
-    return loss_d, generator_adversarial(d_fake, form)
+    # both now lie in [eps, 1-eps]: neither term clamps nor warns again
+    return discriminator_adversarial(d_real, d_fake), generator_adversarial(d_fake, form)
+
+
+def discriminator_adversarial(d_real, d_fake):
+    """The discriminator's share of the adversarial loss,
+    -mean[log d_real + log(1 - d_fake)], for phases that train only D."""
+    d_real = _clamped_scores(d_real, "real")
+    d_fake = _clamped_scores(d_fake, "fake")
+    return -(log(d_real).mean() + log(1.0 - d_fake).mean())
 
 
 def generator_adversarial(d_fake, form="saturating"):

@@ -205,7 +205,7 @@ def evaluate(checkpoint_path, store_dir, n_samples, seed, out_csv=None):
     from . import training
     from .data import ClipStore, normalize_pixels
 
-    ckpt = training.load_checkpoint(checkpoint_path)
+    ckpt = training.load_checkpoint(checkpoint_path, nets=training.GENERATORS)
     store = ClipStore(store_dir)
     if store.resolution != ckpt.config["resolution"]:
         raise ConfigError(

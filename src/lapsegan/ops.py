@@ -2,17 +2,37 @@
 batch normalization, activations, and parameter initialization.
 
 Convolutions are cross-correlations (no kernel flip) computed as im2col +
-GEMM; volumes are (N, C, T, H, W). Three private primitives do all of it:
-``_im2col`` pads a volume and gathers its kernel windows into columns,
-``_correlate`` multiplies a weight matrix with those columns, and
-``_correlate_adjoint`` is their data adjoint: the transposed GEMM, a
-scatter-add of the columns back onto the padded volume, then a crop.
-A transposed convolution is exactly the data adjoint of a convolution
-(Dumoulin & Visin, arXiv:1603.07285), so ``deconv3d`` is ``conv3d`` with the
-roles swapped: conv3d runs ``_correlate`` forward and ``_correlate_adjoint``
-for dX, deconv3d runs ``_correlate_adjoint`` forward and ``_correlate`` over
-the windows of the upstream gradient for dX. Both take dW from
+GEMM; volumes are (N, C, T, H, W). Private primitives do all of it:
+``_phase_grid`` pads a volume, ``_im2col`` gathers a block of its kernel
+windows into columns and ``_col2im`` scatter-adds a block of columns back
+and crops. ``_correlate`` multiplies a weight matrix with the columns,
+``_correlate_adjoint`` is its data adjoint (the transposed GEMM, then
+``_col2im``) and ``_weight_gradient`` forms dW. A transposed convolution is
+exactly the data adjoint of a convolution (Dumoulin & Visin,
+arXiv:1603.07285), so ``deconv3d`` is ``conv3d`` with the roles swapped:
+conv3d runs ``_correlate`` forward and ``_correlate_adjoint`` for dX,
+deconv3d runs ``_correlate_adjoint`` forward and ``_correlate`` over the
+windows of the upstream gradient for dX. Both take dW from
 ``_weight_gradient``.
+
+No convolution builds a whole (C*K, L) column buffer, and the tape keeps
+none: im2col is a pure copy, so conv3d's backward gathers the columns again
+from the input it already links to (recompute, Chen et al.,
+arXiv:1604.06174). Columns come in blocks of at most ``_BLOCK`` elements,
+and each GEMM is split along an output axis only, never along its reduction
+axis, so every output element is the dot product the whole GEMM forms:
+``_correlate`` over blocks of output frames (GEMM columns),
+``_weight_gradient`` over blocks of the gathered channels (columns of dW),
+``_correlate_adjoint`` over blocks of output channels (GEMM rows), each
+scattered as soon as it is computed. Channels share no voxel, so every voxel
+still receives its taps in (kt, kh, kw) order. This keeps the bits only
+while BLAS computes a block as it computes the same rows or columns of the
+whole product; OpenBLAS runs small products on other kernels, so blocks are
+balanced, the fewest that fit the bound with lengths that differ by at most
+one index, and never a small remainder. A product of one weight row (a
+single filter's forward or dW) is a matrix-vector product, whose bits
+OpenBLAS's gemv changes with the number of outputs one call covers, so it
+stays one block.
 
 The rearrangement works on a stride-phase grid (space-to-depth, Shi et al.,
 arXiv:1609.07009): the zero-padded volume is stored as
@@ -36,6 +56,12 @@ from .tensor import Tensor, _accumulate
 LEAKY_SLOPE = 0.2  # DCGAN convention; applied to every leaky_relu
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # weight of the new batch statistic
+# Elements per column block: 24 MB of float32, under glibc's 32 MB dynamic
+# mmap ceiling, so freed blocks come back as warm memory. No desk-scale layer
+# (64x64, width 1/8, batch <= 2, at most 4.7M elements) splits: smaller blocks
+# there lowered glibc's trim threshold below a generate's heap churn, which
+# then faulted in fresh pages on every call.
+_BLOCK = 6 << 20
 
 
 @dataclass(frozen=True)
@@ -106,59 +132,101 @@ def _phase_layout(spatial, params):
     return extents, slices
 
 
-def _tap(stride, kernel_offset, extents):
-    """Phase-grid index of kernel tap (a,b,d) over ``extents`` window origins:
-    one unit-stride block of phase (a%st, b%sh, d%sw)."""
+def _tap(stride, kernel_offset, origins):
+    """Phase-grid index of kernel tap (a,b,d) over the window origins
+    ``origins``, one range per axis: one unit-stride block of phase
+    (a%st, b%sh, d%sw)."""
     phase = tuple(k % s for k, s in zip(kernel_offset, stride))
-    blocks = tuple(slice(k // s, k // s + e)
-                   for k, s, e in zip(kernel_offset, stride, extents))
+    blocks = tuple(slice(k // s + r.start, k // s + r.stop)
+                   for k, s, r in zip(kernel_offset, stride, origins))
     return (slice(None), slice(None)) + phase + blocks
 
 
-def _im2col(v, params, windows):
-    """Pad a (N,C,*spatial) volume into its phase grid and gather its kernel
-    windows, ``windows`` origins per axis, into (N, C*kt*kh*kw, To*Ho*Wo),
-    window-major in (C, kt, kh, kw) order."""
-    n, c = v.shape[:2]
+def _blocks(extent, unit, split=True):
+    """Split ``range(extent)`` into the fewest blocks of at most ``_BLOCK``
+    elements, ``unit`` elements per index and one index at least, as slices
+    whose lengths differ by at most one: no block is a small remainder.
+    ``split=False`` keeps one block."""
+    count = -(-extent // max(1, _BLOCK // unit)) if split else 1
+    return [slice(extent * i // count, extent * (i + 1) // count) for i in range(count)]
+
+
+def _phase_grid(v, params):
+    """Zero-pad a (N,C,*spatial) volume into its phase grid."""
     extents, slices = _phase_layout(v.shape[2:], params)
-    grid = np.zeros((n, c) + tuple(params.stride) + extents, dtype=v.dtype)
+    grid = np.zeros(v.shape[:2] + tuple(params.stride) + extents, dtype=v.dtype)
     for gi, vi in slices:
         grid[gi] = v[vi]
-    cols = np.empty((n, c) + tuple(params.kernel) + tuple(windows), dtype=v.dtype)
+    return grid
+
+
+def _im2col(grid, params, origins):
+    """Gather the kernel windows at ``origins`` (one range per axis) of a
+    phase grid into one column block (N, C*kt*kh*kw, #origins), window-major
+    in (C, kt, kh, kw) order."""
+    n, c = grid.shape[:2]
+    shape = (n, c) + tuple(params.kernel) + tuple(len(r) for r in origins)
+    cols = np.empty(shape, dtype=grid.dtype)
     for a, b, d in np.ndindex(*params.kernel):
-        cols[:, :, a, b, d] = grid[_tap(params.stride, (a, b, d), windows)]
+        cols[:, :, a, b, d] = grid[_tap(params.stride, (a, b, d), origins)]
     return cols.reshape(n, c * int(np.prod(params.kernel)), -1)
 
 
-def _correlate(w_mat, cols):
-    """Correlate the (C_out, C_in*K) weight with every window: (N, C_out, L)."""
-    return w_mat[None] @ cols
+def _correlate(w_mat, grid, params, windows):
+    """Correlate the (C_out, C_in*K) weight with every window of a phase
+    grid, ``windows`` origins per axis: (N, C_out, L), one block of output
+    frames at a time."""
+    n = grid.shape[0]
+    to, ho, wo = windows
+    out = np.empty((n, w_mat.shape[0], to * ho * wo), np.result_type(w_mat, grid))
+    for f in _blocks(to, n * w_mat.shape[1] * ho * wo, split=len(w_mat) > 1):
+        # the block dies with the call, so the next one reuses its warm memory
+        np.matmul(w_mat, _im2col(grid, params, (range(to)[f], range(ho), range(wo))),
+                  out=out[:, :, f.start * ho * wo:f.stop * ho * wo])
+    return out
+
+
+def _col2im(cols, params, windows, out):
+    """The adjoint of ``_im2col``: scatter-add a column block (N, C*K, L) of
+    ``windows`` origins per axis, tap by tap, into a zeroed phase grid, then
+    crop the grid into the (N, C, *spatial) volume ``out``."""
+    kernel, stride = tuple(params.kernel), tuple(params.stride)
+    extents, slices = _phase_layout(out.shape[2:], params)
+    cols = cols.reshape(out.shape[:2] + kernel + tuple(windows))
+    grid = np.zeros(out.shape[:2] + stride + extents, dtype=out.dtype)
+    origins = tuple(range(e) for e in windows)
+    for a, b, d in np.ndindex(*kernel):
+        grid[_tap(stride, (a, b, d), origins)] += cols[:, :, a, b, d]
+    for gi, vi in slices:
+        out[vi] = grid[gi]
 
 
 def _correlate_adjoint(w_mat, g_mat, channels, params, windows, spatial):
-    """The data adjoint of ``_correlate`` over ``_im2col``: the transposed GEMM
-    onto ``windows`` origins, scatter-added tap by tap into a zeroed phase
-    grid, then cropped to the (N, channels, *spatial) volume."""
+    """The data adjoint of ``_correlate``: the transposed GEMM onto
+    ``windows`` origins and its ``_col2im`` into a (N, channels, *spatial)
+    volume, one block of ``channels`` (rows of the GEMM) at a time."""
     n = g_mat.shape[0]
-    kernel, stride = params.kernel, params.stride
-    cols = w_mat.T[None] @ g_mat
-    cols = cols.reshape((n, channels) + tuple(kernel) + tuple(windows))
-    extents, slices = _phase_layout(spatial, params)
-    grid = np.zeros((n, channels) + tuple(stride) + extents, dtype=g_mat.dtype)
-    for a, b, d in np.ndindex(*kernel):
-        grid[_tap(stride, (a, b, d), windows)] += cols[:, :, a, b, d]
-    v = np.empty((n, channels) + tuple(spatial), dtype=grid.dtype)
-    for gi, vi in slices:
-        v[vi] = grid[gi]
+    k = int(np.prod(params.kernel))
+    v = np.empty((n, channels) + tuple(spatial), dtype=g_mat.dtype)
+    for ch in _blocks(channels, n * k * g_mat.shape[2]):
+        _col2im(w_mat[:, ch.start * k:ch.stop * k].T[None] @ g_mat, params, windows,
+                v[:, ch])
     return v
 
 
-def _weight_gradient(weight, lhs, cols):
+def _weight_gradient(weight, lhs, grid, params, windows):
     """Accumulate the sum over the batch of ``lhs[n] @ cols[n].T`` into the
-    weight's gradient. For one sample, the sum would only compute 0 + g,
-    which ``_accumulate`` does anyway, so the copy is skipped."""
-    dw = lhs @ cols.transpose(0, 2, 1)
-    dw = dw[0] if len(dw) == 1 else dw.sum(axis=0)
+    weight's gradient, ``cols`` the windows of a phase grid, one block of
+    the grid's channels (columns of dW) at a time. For one sample, the sum
+    would only compute 0 + g, which ``_accumulate`` does anyway, so it is
+    skipped."""
+    n, c = grid.shape[:2]
+    k = int(np.prod(params.kernel))
+    origins = tuple(range(e) for e in windows)
+    dw = np.empty((lhs.shape[1], c * k), np.result_type(lhs, grid))
+    for ch in _blocks(c, n * k * lhs.shape[2], split=lhs.shape[1] > 1):
+        part = lhs @ _im2col(grid[:, ch], params, origins).transpose(0, 2, 1)
+        dw[:, ch.start * k:ch.stop * k] = part[0] if n == 1 else part.sum(axis=0)
     _accumulate(weight, dw.reshape(weight.values.shape))
 
 
@@ -191,23 +259,22 @@ def conv3d(x, weight, bias, params):
     n = x.shape[0]
     in_spatial = x.shape[2:]
     out_spatial = conv_output_shape(in_spatial, params)
-    cols = _im2col(x.values, params, out_spatial)
     w_mat = weight.values.reshape(c_out, -1)
-    out = _correlate(w_mat, cols)
+    out = _correlate(w_mat, _phase_grid(x.values, params), params, out_spatial)
     out += bias.values[None, :, None]
     out = out.reshape((n, c_out) + out_spatial)
-    if not weight.requires_grad:
-        cols = None  # only dW reads it; a frozen weight's layer tapes none
+    trains_weight = weight.requires_grad
 
     def backward(g):
         g_mat = g.reshape(n, c_out, -1)
         if bias.requires_grad:
             _accumulate(bias, g_mat.sum(axis=(0, 2)))
         if weight.requires_grad:
-            if cols is None:
-                raise ContractError("conv3d weight was frozen when the forward ran, "
-                                    "so its cols were not kept; run the forward again")
-            _weight_gradient(weight, g_mat, cols)
+            if not trains_weight:
+                raise ContractError("conv3d weight was frozen when the forward ran; "
+                                    "run the forward again")
+            _weight_gradient(weight, g_mat, _phase_grid(x.values, params), params,
+                             out_spatial)
         if x.requires_grad:
             _accumulate(x, _correlate_adjoint(w_mat, g_mat, c_in, params, out_spatial,
                                               in_spatial))
@@ -232,13 +299,13 @@ def deconv3d(x, weight, bias, params):
     out += bias.values[None, :, None, None, None]
 
     def backward(g):
-        gcols = _im2col(g, params, in_spatial)
+        grid = _phase_grid(g, params)
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3, 4)))
         if weight.requires_grad:
-            _weight_gradient(weight, x_mat, gcols)
+            _weight_gradient(weight, x_mat, grid, params, in_spatial)
         if x.requires_grad:
-            _accumulate(x, _correlate(w_mat, gcols).reshape(x.values.shape))
+            _accumulate(x, _correlate(w_mat, grid, params, in_spatial).reshape(x.values.shape))
 
     return Tensor._from_op(out, (x, weight, bias), backward, "deconv3d")
 

@@ -17,6 +17,7 @@ Training runs at float32; gradient checking runs at float64.
 """
 from __future__ import annotations
 
+import os
 import struct
 from contextlib import contextmanager
 
@@ -508,7 +509,8 @@ def _read_exact(fp, n, what):
 
 
 def read_array(fp):
-    """Read one array written by ``write_array``."""
+    """Read one array written by ``write_array`` from a seekable binary
+    stream, its values straight into the array it returns."""
     magic = bytes(_read_exact(fp, 4, "magic"))
     if magic != _MAGIC:
         raise IntegrityError(f"bad tensor magic {magic!r}")
@@ -520,11 +522,15 @@ def read_array(fp):
     if code not in _DTYPE_BY_CODE:
         raise IntegrityError(f"unknown dtype code {code}")
     dtype = _DTYPE_BY_CODE[code]
-    count = int(np.prod(extents, dtype=np.int64)) if rank else 1
-    raw = _read_exact(fp, count * dtype.itemsize, "values")
-    arr = np.frombuffer(raw, dtype=dtype).reshape(extents)
-    # native byte order, writable copy
-    return np.ascontiguousarray(arr.astype(dtype.newbyteorder("="), copy=True))
+    nbytes = int(np.prod(extents, dtype=object)) * dtype.itemsize
+    pos = fp.tell()
+    if nbytes > fp.seek(0, os.SEEK_END) - pos:  # checked before allocating
+        raise IntegrityError("truncated tensor block while reading values")
+    fp.seek(pos)
+    arr = np.empty(extents, dtype=dtype)
+    if fp.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+        raise IntegrityError("truncated tensor block while reading values")
+    return arr if dtype.isnative else arr.astype(dtype.newbyteorder("="))
 
 
 def save_array(path, arr):

@@ -26,7 +26,7 @@ import numpy as np
 from .config import RunConfig, config_from_dict
 from .data import CLIP_LEN, load_batch, records_sha256
 from .errors import ConfigError, IntegrityError, UnsupportedVersionError
-from .losses import (LossReport, adversarial_terms, content_loss,
+from .losses import (LossReport, content_loss, discriminator_adversarial,
                      generator_adversarial, gram, rank_loss_total,
                      stage2_objective)
 from .models import (build_discriminator, build_generator, duplicate_frame,
@@ -36,6 +36,7 @@ from .tensor import Tensor, backward, no_grad, read_array, write_array
 
 CHECKPOINT_MAGIC = b"MDCK"
 CHECKPOINT_VERSION = 2
+GENERATORS = ("g1", "g2")  # the networks generate_video runs
 
 _INIT_TAG = 0x494E4954  # salts per-network init seeds
 
@@ -141,17 +142,30 @@ class _CrcWriter:
         self.fp.write(data)
 
 
-class _BufferReader:
-    """``read(n)`` over a memoryview, returning slices that share its memory."""
+class _CrcReader:
+    """Pass-through reader that keeps the running CRC32 of what it read.
+    ``seek`` and ``tell`` reach the file unread, for ``read_array`` to
+    measure the bytes left."""
 
-    def __init__(self, buf):
-        self.buf = buf
-        self.pos = 0
+    def __init__(self, fp):
+        self.fp = fp
+        self.crc = 0
 
-    def read(self, n):
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += len(out)
-        return out
+    def read(self, n=-1):
+        data = self.fp.read(n)
+        self.crc = zlib.crc32(data, self.crc)
+        return data
+
+    def readinto(self, buf):
+        n = self.fp.readinto(buf)
+        self.crc = zlib.crc32(buf[:n], self.crc)
+        return n
+
+    def seek(self, *args):
+        return self.fp.seek(*args)
+
+    def tell(self):
+        return self.fp.tell()
 
 
 def save_checkpoint(ckpt, path):
@@ -208,41 +222,48 @@ def save_checkpoint(ckpt, path):
     return path
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, nets=None):
+    """Read a checkpoint, one block at a time straight into its own array.
+    With ``nets``, keep only those networks' parameters and buffers and no
+    Adam state; every other block is still read through the checksum, then
+    dropped."""
     with open(path, "rb") as fp:
-        # a numpy buffer rather than bytes: numpy asks the kernel for huge
-        # pages on large allocations, so a large file reads in fewer faults
-        buf = np.empty(os.fstat(fp.fileno()).st_size, np.uint8)
-        raw = memoryview(buf)[:fp.readinto(buf)]
-    if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
-        raise IntegrityError(f"{path}: not a checkpoint (bad magic)")
-    version, crc = struct.unpack("<II", raw[4:12])
-    if version != CHECKPOINT_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    body = _BufferReader(raw[12:])
-    if zlib.crc32(body.buf) != crc:
+        head = fp.read(12)
+        if len(head) < 12 or head[:4] != CHECKPOINT_MAGIC:
+            raise IntegrityError(f"{path}: not a checkpoint (bad magic)")
+        version, crc = struct.unpack("<II", head[4:12])
+        if version != CHECKPOINT_VERSION:
+            raise UnsupportedVersionError(
+                f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+        body = _CrcReader(fp)
+        params, adam_arrays = {}, {}
+        try:
+            meta_len, = struct.unpack("<I", body.read(4))
+            if meta_len > os.fstat(fp.fileno()).st_size - fp.tell():  # before reading it
+                raise IntegrityError("meta block longer than the file")
+            meta = json.loads(body.read(meta_len))
+            n_blocks, = struct.unpack("<I", body.read(4))
+            for _ in range(n_blocks):
+                name_len, = struct.unpack("<H", body.read(2))
+                net, kind, pname = body.read(name_len).decode().split("/", 2)
+                arr = read_array(body)
+                if nets is not None and (net not in nets or kind not in ("param", "buffer")):
+                    continue
+                if kind == "param":
+                    ps = params.setdefault(net, ParameterSet())
+                    ps.tensors[pname] = Tensor(arr, requires_grad=True)
+                elif kind == "buffer":
+                    params.setdefault(net, ParameterSet()).buffers[pname] = arr
+                else:
+                    adam_arrays.setdefault(net, {}).setdefault(kind, {})[pname] = arr
+            body.read()  # trailing bytes count towards the checksum
+        except (struct.error, ValueError, IntegrityError) as e:  # a corrupt length or name
+            raise IntegrityError(f"{path}: corrupt or truncated ({e})") from None
+    if body.crc != crc:
         raise IntegrityError(f"{path}: checksum mismatch (corrupt or truncated)")
 
-    meta_len, = struct.unpack("<I", body.read(4))
-    meta = json.loads(bytes(body.read(meta_len)))
-    n_blocks, = struct.unpack("<I", body.read(4))
-    params, adam_arrays = {}, {}
-    for _ in range(n_blocks):
-        name_len, = struct.unpack("<H", body.read(2))
-        name = bytes(body.read(name_len)).decode()
-        arr = read_array(body)
-        net, kind, pname = name.split("/", 2)
-        if kind == "param":
-            ps = params.setdefault(net, ParameterSet())
-            ps.tensors[pname] = Tensor(arr, requires_grad=True)
-        elif kind == "buffer":
-            params.setdefault(net, ParameterSet()).buffers[pname] = arr
-        else:
-            adam_arrays.setdefault(net, {}).setdefault(kind, {})[pname] = arr
-
     adam = {}
-    for net, scalars in meta.get("adam", {}).items():
+    for net, scalars in (meta.get("adam", {}) if nets is None else {}).items():
         arrs = adam_arrays.get(net, {})
         adam[net] = AdamState(m=arrs.get("adam_m", {}), v=arrs.get("adam_v", {}),
                               t=scalars["t"], beta1=scalars["beta1"],
@@ -395,7 +416,7 @@ def stage1_d_objective(nets, y, x, cfg):
                                bn_momentum=cfg.bn_momentum)
     d_real, _ = forward_discriminator(d_spec, d_params, y, cfg.bn_eps)
     d_fake, _ = forward_discriminator(d_spec, d_params, y1, cfg.bn_eps)
-    loss_d, _ = adversarial_terms(d_real, d_fake, cfg.adv_form)
+    loss_d = discriminator_adversarial(d_real, d_fake)
     return loss_d
 
 
@@ -471,7 +492,7 @@ def stage2_d_objective(nets, y, x, cfg):
     d_real, feats_real = forward_discriminator(d_spec, d_params, y, cfg.bn_eps)
     d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2, cfg.bn_eps)
     _, feats_y1 = forward_discriminator(d_spec, d_params, y1, cfg.bn_eps)
-    loss_d, _ = adversarial_terms(d_real, d_fake, cfg.adv_form)
+    loss_d = discriminator_adversarial(d_real, d_fake)
     rank = rank_loss_total(_gram_triples(cfg, taps, feats_y1, feats_y2, feats_real))
     objective = -loss_d + cfg.lambda_rank * rank
     return objective, loss_d, rank

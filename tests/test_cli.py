@@ -158,6 +158,35 @@ class TestGenerate:
                      "--frame", str(inp), "--out", str(tmp_path / "g")])
         assert code == 3
 
+    def test_loads_only_generators(self, workspace, tmp_path):
+        """generate and evaluate keep G1 and G2 only; every other block is
+        still read through the checksum."""
+        from lapsegan.tensor import Tensor
+        from lapsegan.training import GENERATORS, generate_video, load_checkpoint
+        full = load_checkpoint(workspace["g2"])
+        lean = load_checkpoint(workspace["g2"], nets=GENERATORS)
+        assert sorted(full.params) == ["d2", "g1", "g2"] and sorted(full.adam) == ["d2", "g2"]
+        assert sorted(lean.params) == ["g1", "g2"] and lean.adam == {}
+        rng = np.random.default_rng(4)
+        frame = Tensor(rng.uniform(-1, 1, (1, 3, 64, 64)).astype(np.float32))
+        assert (generate_video(lean, frame).values.tobytes()
+                == generate_video(full, frame).values.tobytes())
+
+        raw = bytearray(workspace["g2"].read_bytes())
+        name = raw.index(b"d2/param/")
+        block = name + int.from_bytes(raw[name - 2:name], "little")
+        assert raw[block:block + 4] == b"MDT1"
+        rank = int.from_bytes(raw[block + 4:block + 8], "little")
+        raw[block + 8 + 4 * rank + 1] ^= 0xFF  # the first value byte of a D2 parameter
+        bad = tmp_path / "bad_d2.mdck"
+        bad.write_bytes(bytes(raw))
+        inp = tmp_path / "in.ppm"
+        write_ppm(inp, np.zeros((64, 64, 3), np.uint8))
+        assert main(["generate", "--checkpoint", str(bad),
+                     "--frame", str(inp), "--out", str(tmp_path / "g")]) == 3
+        assert main(["evaluate", "--checkpoint", str(bad), "--store", str(workspace["store"]),
+                     "--n", "1", "--seed", "1", "--out", str(tmp_path / "e.csv")]) == 3
+
     def test_older_checkpoint_version_exit_3(self, workspace, tmp_path):
         # version 1 predates batch-norm-free conv2 at 64 resolution; its
         # conv2.gamma/beta must not be loaded into today's network

@@ -570,6 +570,149 @@ class TestConvDeconvPairing:
             assert np.array_equal(down, yt.grad), (params, spatial)
 
 
+# -- the whole-buffer kernels that the column blocks replaced, kept here as
+# the bitwise reference for them
+
+def whole_im2col(v, params, windows):
+    n, c = v.shape[:2]
+    extents, slices = ops._phase_layout(v.shape[2:], params)
+    grid = np.zeros((n, c) + tuple(params.stride) + extents, dtype=v.dtype)
+    for gi, vi in slices:
+        grid[gi] = v[vi]
+    cols = np.empty((n, c) + tuple(params.kernel) + tuple(windows), dtype=v.dtype)
+    for a, b, d in np.ndindex(*params.kernel):
+        cols[:, :, a, b, d] = grid[whole_tap(params.stride, (a, b, d), windows)]
+    return cols.reshape(n, c * int(np.prod(params.kernel)), -1)
+
+
+def whole_tap(stride, kernel_offset, extents):
+    phase = tuple(k % s for k, s in zip(kernel_offset, stride))
+    blocks = tuple(slice(k // s, k // s + e)
+                   for k, s, e in zip(kernel_offset, stride, extents))
+    return (slice(None), slice(None)) + phase + blocks
+
+
+def whole_correlate_adjoint(w_mat, g_mat, channels, params, windows, spatial):
+    n = g_mat.shape[0]
+    kernel, stride = params.kernel, params.stride
+    cols = w_mat.T[None] @ g_mat
+    cols = cols.reshape((n, channels) + tuple(kernel) + tuple(windows))
+    extents, slices = ops._phase_layout(spatial, params)
+    grid = np.zeros((n, channels) + tuple(stride) + extents, dtype=g_mat.dtype)
+    for a, b, d in np.ndindex(*kernel):
+        grid[whole_tap(stride, (a, b, d), windows)] += cols[:, :, a, b, d]
+    v = np.empty((n, channels) + tuple(spatial), dtype=grid.dtype)
+    for gi, vi in slices:
+        v[vi] = grid[gi]
+    return v
+
+
+def whole_weight_gradient(lhs, cols):
+    dw = lhs @ cols.transpose(0, 2, 1)
+    return dw[0] if len(dw) == 1 else dw.sum(axis=0)
+
+
+def whole_conv3d(x, w, b, params, g):
+    """Output, then dx, dw, db for upstream gradient g, the way conv3d
+    computed them on whole column buffers."""
+    n, (c_out, c_in) = x.shape[0], w.shape[:2]
+    out_spatial = ops.conv_output_shape(x.shape[2:], params)
+    cols = whole_im2col(x, params, out_spatial)
+    w_mat = w.reshape(c_out, -1)
+    out = w_mat[None] @ cols
+    out += b[None, :, None]
+    g_mat = g.reshape(n, c_out, -1)
+    dx = whole_correlate_adjoint(w_mat, g_mat, c_in, params, out_spatial, x.shape[2:])
+    dw = whole_weight_gradient(g_mat, cols).reshape(w.shape)
+    return (out.reshape((n, c_out) + out_spatial), _zero_plus(x, dx), _zero_plus(w, dw),
+            _zero_plus(b, g_mat.sum(axis=(0, 2))))
+
+
+def whole_deconv3d(x, w, b, params, g):
+    n, (c_in, c_out) = x.shape[0], w.shape[:2]
+    in_spatial = x.shape[2:]
+    x_mat = x.reshape(n, c_in, -1)
+    w_mat = w.reshape(c_in, -1)
+    out = whole_correlate_adjoint(w_mat, x_mat, c_out, params, in_spatial,
+                                  ops.deconv_output_shape(in_spatial, params))
+    out += b[None, :, None, None, None]
+    gcols = whole_im2col(g, params, in_spatial)
+    dw = whole_weight_gradient(x_mat, gcols).reshape(w.shape)
+    dx = (w_mat[None] @ gcols).reshape(x.shape)
+    return (out, _zero_plus(x, dx), _zero_plus(w, dw),
+            _zero_plus(b, g.sum(axis=(0, 2, 3, 4))))
+
+
+def _net_layers(resolution, width):
+    """(params, C_in, C_out, input spatial extent) of every distinct
+    conv/deconv layer of G1, G2 and D at one resolution and width."""
+    from lapsegan.models import build_discriminator, build_generator
+    seen = []
+    for spec in (build_generator(1, resolution, width), build_generator(2, resolution, width),
+                 build_discriminator(resolution, width)):
+        spatial = spec.input_shape[1:]
+        for layer in spec.layers:
+            key = (layer.params, layer.in_channels, layer.out_channels, tuple(spatial))
+            if key not in seen:
+                seen.append(key)
+            spatial = layer.out_shape[1:]
+    return seen
+
+
+class TestColumnBlocksMatchWholeBuffer:
+    """conv3d/deconv3d, gathering and scattering columns a bounded block at
+    a time, give bitwise the float32 output and gradients of the kernels that
+    built each whole column buffer, on every layer of the networks. No 64x64
+    layer reaches ``ops._BLOCK``, so those run under a bound they exceed."""
+
+    @pytest.mark.parametrize("resolution, width, batch, bound, only_split", [
+        (64, 1 / 8, 1, 1 << 21, False), (64, 1 / 8, 2, 1 << 21, False),
+        (128, 1 / 4, 2, None, False), (128, 1, 1, None, True)])
+    def test_network_layers(self, monkeypatch, resolution, width, batch, bound, only_split):
+        if bound is not None:
+            monkeypatch.setattr(ops, "_BLOCK", bound)
+        blocks = []
+        real_im2col, real_col2im = ops._im2col, ops._col2im
+
+        def im2col(grid, params, origins):
+            blocks.append(("gather", grid.shape[1], len(origins[0])))
+            return real_im2col(grid, params, origins)
+
+        def col2im(cols, params, windows, out):
+            blocks.append(("scatter", out.shape[1], None))
+            return real_col2im(cols, params, windows, out)
+
+        monkeypatch.setattr(ops, "_im2col", im2col)
+        monkeypatch.setattr(ops, "_col2im", col2im)
+        rng = np.random.default_rng(resolution + batch)
+        split = {"frames": 0, "weight channels": 0, "adjoint channels": 0}
+        for params, c_in, c_out, spatial in _net_layers(resolution, width):
+            transposed = params.transposed
+            wshape = ((c_in, c_out) if transposed else (c_out, c_in)) + tuple(params.kernel)
+            x, w, b = (rng.standard_normal(s).astype(np.float32)
+                       for s in ((batch, c_in) + spatial, wshape, (c_out,)))
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+            blocks.clear()
+            out = (ops.deconv3d if transposed else ops.conv3d)(xt, wt, bt, params)
+            g = rng.standard_normal(out.shape).astype(np.float32)
+            out._backward(g)
+            gathered, frames = (c_out, spatial[0]) if transposed else (c_in, out.shape[2])
+            scattered = c_out if transposed else c_in
+            layer_split = {
+                "frames": any(k == "gather" and t < frames for k, _, t in blocks),
+                "weight channels": any(k == "gather" and c < gathered for k, c, _ in blocks),
+                "adjoint channels": any(k == "scatter" and c < scattered for k, c, _ in blocks)}
+            for axis, did in layer_split.items():
+                split[axis] += did
+            if only_split and not any(layer_split.values()):
+                continue
+            want = (whole_deconv3d if transposed else whole_conv3d)(x, w, b, params, g)
+            for got, ref in zip((out.values, xt.grad, wt.grad, bt.grad), want):
+                assert got.dtype == ref.dtype == np.float32 and got.shape == ref.shape
+                assert np.array_equal(got, ref), (params, c_in, c_out, spatial)
+        assert all(split.values()), split
+
+
 class TestLeakyReluMask:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_equals_slope_product(self, dtype):

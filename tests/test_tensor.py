@@ -1,5 +1,6 @@
 import gc
 import io
+import struct
 import weakref
 
 import numpy as np
@@ -355,6 +356,11 @@ class TestSerialization:
         with pytest.raises(IntegrityError):
             T.read_array(io.BytesIO(buf.getvalue()[:-8]))
 
+    def test_extents_beyond_stream_rejected_before_allocating(self):
+        head = b"MDT1" + struct.pack("<3I", 2, 2 ** 32 - 1, 2 ** 32 - 1) + bytes([0])
+        with pytest.raises(IntegrityError, match="truncated"):
+            T.read_array(io.BytesIO(head + bytes(64)))
+
 
 def backward_keeping_graph(root):
     """Reference backward that keeps the graph: the traversal and order of
@@ -406,7 +412,8 @@ def conv_stack(dtype, seed=0):
 
 
 def spy_im2col(monkeypatch):
-    """Patch ``ops._im2col`` to keep a weak reference to every buffer it returns."""
+    """Patch ``ops._im2col`` to keep a weak reference to every column block
+    it gathers."""
     refs = []
     real = ops._im2col
 
@@ -434,8 +441,11 @@ class TestConsumingBackward:
 
     def test_intermediate_gradient_and_cols_released(self, monkeypatch):
         cols_refs = spy_im2col(monkeypatch)
+        monkeypatch.setattr(ops, "_BLOCK", 500)  # one output frame, one channel a block
         x, w, b, p = conv_leaves()
         mid = ops.conv3d(x, w, b, p)
+        gc.collect()
+        assert len(cols_refs) == 4 and all(r() is None for r in cols_refs)
         grad_refs = []
 
         def record(g):
@@ -445,10 +455,9 @@ class TestConsumingBackward:
 
         spy = Tensor._from_op(mid.values, (mid,), record, "spy")
         root = (spy * spy).sum()
-        assert len(cols_refs) == 1 and cols_refs[0]() is not None
         T.backward(root)
         gc.collect()
-        assert len(grad_refs) == 2
+        assert len(grad_refs) == 2 and len(cols_refs) == 4 + 2  # dW gathers x again
         assert all(r() is None for r in grad_refs + cols_refs)
         assert mid.grad is None and mid._backward is T._consumed and mid._parents == ()
         assert_array_equal(root.grad, 1.0)
@@ -484,6 +493,7 @@ class TestConsumingBackward:
         gc.collect()
         assert out._backward is not None and cols_refs[0]() is None
         T.backward(out.sum())
+        assert len(cols_refs) == 1  # without dW, backward gathers nothing
         assert wf.grad is None
         assert_array_equal(xf.grad, x.grad)
         assert_array_equal(bf.grad, b.grad)

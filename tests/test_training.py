@@ -182,6 +182,23 @@ class TestCheckpointIO:
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
             "8d435c0e2a6d28ec11bd045a0c59ae992c8739fbd918730448b09982936f0c89")
 
+    def test_load_holds_each_block_once(self, tmp_path):
+        """Blocks are read straight into their arrays: loading allocates
+        little beyond the arrays it returns, not the file again."""
+        import tracemalloc
+        ckpt = self.make_ckpt()
+        big = np.arange(1 << 20, dtype=np.float32)
+        ckpt.params["g1"].tensors["big.weight"] = Tensor(big, requires_grad=True)
+        p = save_checkpoint(ckpt, tmp_path / "big.mdck")
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_array_equal(back.params["g1"].tensors["big.weight"].values, big)
+        assert peak < 1.25 * big.nbytes
+
     def test_failed_save_keeps_earlier_file(self, tmp_path):
         p = tmp_path / "k.mdck"
         save_checkpoint(self.make_ckpt(), p)
@@ -218,6 +235,15 @@ class TestCheckpointIO:
         raw[40] ^= 0xFF
         p.write_bytes(bytes(raw))
         with pytest.raises(IntegrityError):
+            load_checkpoint(p)
+
+    def test_oversized_meta_length_rejected(self, tmp_path):
+        p = tmp_path / "l.mdck"
+        save_checkpoint(self.make_ckpt(), p)
+        raw = bytearray(p.read_bytes())
+        raw[12:16] = struct.pack("<I", 2 ** 32 - 1)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError, match="meta block longer"):
             load_checkpoint(p)
 
     def test_bad_magic_and_version(self, tmp_path):
