@@ -146,7 +146,7 @@ def cmd_train_stage2(args):
     from .data import ClipStore
     from .training import load_checkpoint, train_stage2
     cfg = _config_from(args)
-    g1 = load_checkpoint(args.g1_checkpoint)
+    g1 = load_checkpoint(args.g1_checkpoint, nets=("g1",))
     resume = load_checkpoint(args.resume) if args.resume else None
     store = ClipStore(args.store)
     ckpt, _ = train_stage2(store, cfg, g1, out_dir=args.out, resume=resume)

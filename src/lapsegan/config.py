@@ -13,7 +13,21 @@ from .errors import ConfigError
 
 _CHOICES = {"resolution": (128, 64), "loss_reduction": ("mean", "sum"),
             "adv_form": ("saturating", "nonsaturating"),
-            "generation_bn_mode": ("running", "batch"), "g2_init": ("g1", "fresh")}
+            "generation_bn_mode": ("running", "batch")}
+
+# (keys, test, what each must be); NaN fails every test
+_BOUNDS = (
+    (("width_multiplier",), lambda v: 0.0 < v <= 1.0, "lie in (0,1]"),
+    (("lr", "adam_eps", "bn_eps"), lambda v: v > 0.0, "be > 0"),
+    (("beta1", "beta2"), lambda v: 0.0 <= v < 1.0, "lie in [0,1)"),
+    (("bn_momentum",), lambda v: 0.0 < v < 1.0, "lie in (0,1)"),
+    (("lambda_rank", "seed"), lambda v: v >= 0, "be >= 0"),
+    (("batch_size", "iterations", "checkpoint_every", "log_every"),
+     lambda v: v >= 1, "be >= 1"),
+)
+
+# Keys that files written before 0.2.0 echo, with the one value still run.
+_RETIRED = {"gram_taps": "auto", "gram_batch_mean": False, "g2_init": "g1"}
 
 
 @dataclass
@@ -28,12 +42,9 @@ class RunConfig:
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
     lambda_rank: float = 1.0
-    gram_taps: str = "auto"     # "auto" = first and third discriminator convs
-    gram_batch_mean: bool = False
     loss_reduction: str = "mean"     # content L1: mean | sum
     adv_form: str = "saturating"     # generator loss: saturating | nonsaturating
     generation_bn_mode: str = "running"  # running | batch statistics at generation
-    g2_init: str = "g1"              # g1 | fresh
     seed: int = 0
     iterations: int = 1000
     checkpoint_every: int = 500
@@ -44,31 +55,18 @@ class RunConfig:
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"{key} must be {' or '.join(map(str, allowed))}, "
                                   f"got {getattr(self, key)}")
-        if not 0.0 < self.width_multiplier <= 1.0:
-            raise ConfigError(
-                f"width_multiplier must lie in (0,1], got {self.width_multiplier}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        for key in ("iterations", "checkpoint_every", "log_every"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for keys, ok, must in _BOUNDS:
+            for key in keys:
+                if not ok(getattr(self, key)):
+                    raise ConfigError(f"{key} must {must}, got {getattr(self, key)}")
         return self
 
     def as_dict(self):
         return asdict(self)
 
     def tap_names(self, disc_spec):
-        """Resolve the gram feature taps against a discriminator spec."""
-        if self.gram_taps == "auto":
-            return list(disc_spec.taps)
-        names = [t.strip() for t in self.gram_taps.split(",") if t.strip()]
-        known = {l.name for l in disc_spec.layers}
-        for n in names:
-            if n not in known:
-                raise ConfigError(f"gram tap {n!r} is not a layer of the discriminator")
-        if not names:
-            raise ConfigError("gram_taps resolved to an empty list")
-        return names
+        """The discriminator layers whose features feed the Gram descriptors."""
+        return list(disc_spec.taps)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -82,12 +80,6 @@ def _coerce(key, raw):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
@@ -124,7 +116,13 @@ def load_config(path=None, overrides=None):
 
 
 def config_from_dict(d):
-    """Rebuild a config echoed into an artifact (e.g. a checkpoint)."""
+    """Rebuild a config echoed into an artifact (e.g. a checkpoint). A key
+    retired in 0.2.0 is dropped if it holds the value now fixed."""
+    for key, fixed in _RETIRED.items():
+        if d.get(key, fixed) != fixed:
+            raise ConfigError(f"{key} is retired and only {fixed!r} still runs, "
+                              f"got {d[key]!r}")
+    d = {k: v for k, v in d.items() if k not in _RETIRED}
     unknown = set(d) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")

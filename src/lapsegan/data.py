@@ -22,12 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, IntegrityError
-from .models import duplicate_frame
+from .models import CLIP_FRAMES, duplicate_frame
 from .tensor import Tensor, load_array, save_array
 
 log = logging.getLogger(__name__)
 
-CLIP_LEN = 32
 _EPOCH_TAG = 0x45504F43  # salts the per-epoch shuffle seeds
 _SOURCE_TAG = 0x53524331
 
@@ -190,8 +189,8 @@ class ClipStore:
 
     def load_clip(self, record):
         arr = load_array(self.root / "clips" / record.file)
-        if arr.dtype != np.uint8 or arr.shape[:2] != (3, CLIP_LEN):
-            raise IntegrityError(f"{record.file}: not a (3,{CLIP_LEN},H,W) u8 clip")
+        if arr.dtype != np.uint8 or arr.shape[:2] != (3, CLIP_FRAMES):
+            raise IntegrityError(f"{record.file}: not a (3,{CLIP_FRAMES},H,W) u8 clip")
         return arr
 
     @property
@@ -219,9 +218,9 @@ def ingest(frame_root, out_store, target_resolution):
     for src in sources:
         frame_files = sorted((f for f in src.iterdir() if f.suffix == ".ppm"),
                              key=lambda p: _natural_key(p.name))
-        if len(frame_files) < CLIP_LEN:
+        if len(frame_files) < CLIP_FRAMES:
             log.warning("source %s has %d frames (< %d); no clips",
-                        src.name, len(frame_files), CLIP_LEN)
+                        src.name, len(frame_files), CLIP_FRAMES)
             continue
         try:
             frames = [read_ppm(f) for f in frame_files]
@@ -233,12 +232,12 @@ def ingest(frame_root, out_store, target_resolution):
             continue
         resized = np.stack([resize_bilinear(f, target_resolution, target_resolution)
                             for f in frames])
-        n_clips = len(frames) // CLIP_LEN
-        dropped = len(frames) - n_clips * CLIP_LEN
+        n_clips = len(frames) // CLIP_FRAMES
+        dropped = len(frames) - n_clips * CLIP_FRAMES
         if dropped:
             log.info("source %s: %d trailing frames dropped", src.name, dropped)
         for ci in range(n_clips):
-            block = resized[ci * CLIP_LEN:(ci + 1) * CLIP_LEN]  # (32,H,W,3)
+            block = resized[ci * CLIP_FRAMES:(ci + 1) * CLIP_FRAMES]  # (32,H,W,3)
             clip = np.ascontiguousarray(block.transpose(3, 0, 1, 2))
             fname = f"{src.name}_{ci:04d}.mdt"
             save_array(out_store / "clips" / fname, clip)
@@ -256,6 +255,8 @@ def split_store(store_dir, test_fraction, seed):
     approximates ``test_fraction``; clips of one source never straddle."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must lie in (0,1), got {test_fraction}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     records = read_manifest(store_dir)
     by_source = {}
     for rec in records:
@@ -323,7 +324,7 @@ def load_batch(store, split, batch_size, seed, counter=0):
     clips = np.stack([store.load_clip(records[i]) for i in idxs])
     y = normalize_pixels(clips)
     first = Tensor(np.ascontiguousarray(y[:, :, 0]))
-    x = duplicate_frame(first, CLIP_LEN)
+    x = duplicate_frame(first, CLIP_FRAMES)
     return Tensor(y), x
 
 
@@ -404,6 +405,8 @@ def synth_frame_dirs(out_root, n_sources, frames_per_source, resolution,
     """Materialize synthetic sources as per-source PPM frame directories."""
     if n_sources < 2:
         raise ConfigError("need at least 2 synthetic sources (split requires it)")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out_root = Path(out_root)
     for i in range(n_sources):
         src_dir = out_root / f"synth{i:03d}"

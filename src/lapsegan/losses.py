@@ -97,12 +97,12 @@ class GramDescriptor:
     layer_id: str
 
 
-def gram(features, layer_id="", batch_mean=False):
+def gram(features, layer_id=""):
     """Gram matrix of discriminator features (N,C,T,H,W).
 
     Reshapes to (N, M, S) with M = C*T and S = H*W, then sums h h^T over the
-    batch and scales by 1/(M*S) — the batch-sum form; ``batch_mean`` divides
-    by N as well. Differentiable w.r.t. the features.
+    batch and scales by 1/(M*S) — the batch-sum form, so its scale follows
+    the batch size. Differentiable w.r.t. the features.
     """
     if features.ndim != 5:
         raise DimensionError(f"expected (N,C,T,H,W) features, got {features.shape}")
@@ -110,7 +110,7 @@ def gram(features, layer_id="", batch_mean=False):
     m, s = c * t, h * w
     flat = features.reshape((n, m, s))
     prod = matmul_batched(flat, flat.transpose((0, 2, 1)))
-    scale = 1.0 / (m * s * (n if batch_mean else 1))
+    scale = 1.0 / (m * s)
     matrix = prod.sum(axes=0) * scale
     _assert_symmetric(matrix.values)
     return GramDescriptor(matrix=matrix, layer_id=layer_id)

@@ -177,6 +177,8 @@ def evaluate_store(predict, store, n_samples, seed, split="test",
     """
     if n_samples < 1:
         raise ConfigError(f"need at least 1 clip to evaluate, got {n_samples}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     records = store.split_records(split)
     if not records:
         raise ConfigError(f"store has no {split!r} clips to evaluate")

@@ -24,13 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_from_dict
-from .data import CLIP_LEN, load_batch, records_sha256
+from .data import load_batch, records_sha256
 from .errors import ConfigError, IntegrityError, UnsupportedVersionError
 from .losses import (LossReport, content_loss, discriminator_adversarial,
                      generator_adversarial, gram, rank_loss_total,
                      stage2_objective)
-from .models import (build_discriminator, build_generator, duplicate_frame,
-                     forward_discriminator, forward_generator)
+from .models import (CLIP_FRAMES, build_discriminator, build_generator,
+                     duplicate_frame, forward_discriminator, forward_generator)
 from .ops import ParameterSet, init_parameters
 from .tensor import Tensor, backward, no_grad, read_array, write_array
 
@@ -470,13 +470,9 @@ def train_stage1(store, cfg, out_dir=None, resume=None):
 # -- stage 2 ------------------------------------------------------------------
 
 
-def _gram_triples(cfg, taps, feats_y1, feats_y2, feats_real):
-    triples = []
-    for name, f1, f2, fr in zip(taps, feats_y1, feats_y2, feats_real):
-        triples.append((gram(f1, name, cfg.gram_batch_mean),
-                        gram(f2, name, cfg.gram_batch_mean),
-                        gram(fr, name, cfg.gram_batch_mean)))
-    return triples
+def _gram_triples(taps, feats_y1, feats_y2, feats_real):
+    return [(gram(f1, name), gram(f2, name), gram(fr, name))
+            for name, f1, f2, fr in zip(taps, feats_y1, feats_y2, feats_real)]
 
 
 def stage2_d_objective(nets, y, x, cfg):
@@ -493,7 +489,7 @@ def stage2_d_objective(nets, y, x, cfg):
     d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2, cfg.bn_eps)
     _, feats_y1 = forward_discriminator(d_spec, d_params, y1, cfg.bn_eps)
     loss_d = discriminator_adversarial(d_real, d_fake)
-    rank = rank_loss_total(_gram_triples(cfg, taps, feats_y1, feats_y2, feats_real))
+    rank = rank_loss_total(_gram_triples(taps, feats_y1, feats_y2, feats_real))
     objective = -loss_d + cfg.lambda_rank * rank
     return objective, loss_d, rank
 
@@ -512,7 +508,7 @@ def stage2_g_objective(nets, y, x, cfg):
     y2 = forward_generator(g2_spec, g2_params, y1, **bn)
     d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2, cfg.bn_eps)
     adv_g = generator_adversarial(d_fake, cfg.adv_form)
-    rank = rank_loss_total(_gram_triples(cfg, taps, feats_y1, feats_y2, feats_real))
+    rank = rank_loss_total(_gram_triples(taps, feats_y1, feats_y2, feats_real))
     l_con = content_loss(y, y2, cfg.loss_reduction)
     objective = adv_g + cfg.lambda_rank * rank + l_con
     return objective, adv_g, rank, l_con
@@ -528,9 +524,8 @@ def _fingerprint(ps):
 def train_stage2(store, cfg, g1_checkpoint, out_dir=None, resume=None):
     """Refine-stage training per the two-phase procedure, with the stage-1
     generator frozen. ``g1_checkpoint`` supplies the trained stage-1
-    parameters; G2 starts from them (identical shapes) unless
-    ``cfg.g2_init`` asks for a fresh draw. ``resume`` must carry that same
-    stage-1 generator."""
+    parameters; G2 starts from a copy of them (identical shapes). ``resume``
+    must carry that same stage-1 generator."""
     cfg.validate()
     if g1_checkpoint is None:
         raise ConfigError("stage 2 requires a stage-1 checkpoint")
@@ -559,9 +554,7 @@ def train_stage2(store, cfg, g1_checkpoint, out_dir=None, resume=None):
         params, adam, start = resume.params, resume.adam, resume.iteration
         params["d2"].buffers.clear()  # unread running statistics older files carry
     else:
-        g2_params = (g1_params.clone() if cfg.g2_init == "g1"
-                     else init_parameters(g2_spec, _init_seed(cfg, 3)))
-        params = {"g1": g1_params, "g2": g2_params,
+        params = {"g1": g1_params, "g2": g1_params.clone(),
                   "d2": init_parameters(d_spec, _init_seed(cfg, 4))}
         adam = {net: AdamState.fresh(params[net], cfg) for net in ("g2", "d2")}
         start = 0
@@ -595,7 +588,7 @@ def generate_video(ckpt, first_frame):
     bn = dict(mode=mode, update_running=False,
               bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
     with no_grad():
-        x = duplicate_frame(first_frame, CLIP_LEN)
+        x = duplicate_frame(first_frame, CLIP_FRAMES)
         g1_spec = build_generator(1, res, cfg.width_multiplier)
         video = forward_generator(g1_spec, ckpt.params["g1"], x, **bn)
         if ckpt.stage == 2:

@@ -1,7 +1,9 @@
 import json
 import re
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +122,54 @@ class TestTrain:
         assert main(args + ["1"]) == 2
         assert main(args + ["0"]) == 0
 
+    def test_stage2_reads_only_g1(self, workspace, tmp_path, monkeypatch):
+        """train-stage2 keeps only G1 of the stage-1 file; every other block
+        is still read through the checksum."""
+        from lapsegan import training
+        seen, real = [], training.train_stage2
+
+        def spy(store, cfg, g1_checkpoint, **kw):
+            seen.append(g1_checkpoint)
+            return real(store, cfg, g1_checkpoint, **kw)
+
+        monkeypatch.setattr(training, "train_stage2", spy)
+        common = ["train-stage2", "--store", str(workspace["store"]),
+                  "--resolution", "64", "--width-multiplier", "0.125",
+                  "--batch-size", "2", "--iterations", "2", "--seed", "0",
+                  "--log-every", "100", "--checkpoint-every", "1000"]
+        out = tmp_path / "r"
+        assert main(common + ["--out", str(out), "--g1-checkpoint", str(workspace["g1"])]) == 0
+        assert sorted(seen[0].params) == ["g1"] and seen[0].adam == {}
+        assert ((out / "losses.csv").read_bytes()
+                == (workspace["run2"] / "losses.csv").read_bytes())
+
+        raw = bytearray(workspace["g1"].read_bytes())
+        name = raw.index(b"d1/param/")
+        block = name + int.from_bytes(raw[name - 2:name], "little")
+        assert raw[block:block + 4] == b"MDT1"
+        rank = int.from_bytes(raw[block + 4:block + 8], "little")
+        raw[block + 8 + 4 * rank + 1] ^= 0xFF  # the first value byte of a D1 parameter
+        bad = tmp_path / "bad_d1.mdck"
+        bad.write_bytes(bytes(raw))
+        assert main(common + ["--out", str(tmp_path / "r2"),
+                              "--g1-checkpoint", str(bad)]) == 3
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "-1"), ("--lr", "nan"), ("--lambda-rank", "-5"), ("--beta1", "1"),
+        ("--beta2", "1"), ("--adam-eps", "0"), ("--bn-eps", "-1"),
+        ("--bn-momentum", "1"), ("--seed", "-1")])
+    def test_bad_numeric_key_exit_2_before_run_dir(self, workspace, tmp_path,
+                                                   capsys, flag, value):
+        out = tmp_path / "r"
+        code = main(["train-stage1", "--store", str(workspace["store"]),
+                     "--out", str(out), "--resolution", "64",
+                     "--width-multiplier", "0.125", "--iterations", "1",
+                     flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must" in err and f"got {value}" in err
+        assert not out.exists()
+
     def test_missing_g1_checkpoint_exit_3(self, workspace, tmp_path):
         code = main(["train-stage2", "--store", str(workspace["store"]),
                      "--out", str(tmp_path / "r"),
@@ -199,6 +249,108 @@ class TestGenerate:
         code = main(["generate", "--checkpoint", str(old),
                      "--frame", str(inp), "--out", str(tmp_path / "g")])
         assert code == 3
+
+
+def _with_echo(src, dst, **keys):
+    """Copy checkpoint ``src`` to ``dst`` with ``keys`` added to its config
+    echo, as files written before 0.2.0 carry them, and the CRC recomputed."""
+    payload = src.read_bytes()[12:]
+    n, = struct.unpack("<I", payload[:4])
+    meta = json.loads(payload[4:4 + n])
+    meta["config"].update(keys)
+    raw_meta = json.dumps(meta, sort_keys=True).encode()
+    payload = struct.pack("<I", len(raw_meta)) + raw_meta + payload[4 + n:]
+    dst.write_bytes(b"MDCK" + struct.pack("<II", 2, zlib.crc32(payload)) + payload)
+    return dst
+
+
+RETIRED_DEFAULTS = {"gram_taps": "auto", "gram_batch_mean": False, "g2_init": "g1"}
+
+
+class TestPre020Files:
+    """Checkpoints written before 0.2.0 echo gram_taps, gram_batch_mean and
+    g2_init. At the values the program now runs they load, resume and
+    generate as if the keys were absent; any other value exits 2."""
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_loads_resumes_and_generates(self, workspace, tmp_path, stage):
+        old = {net: _with_echo(workspace[net], tmp_path / f"old_{net}.mdck",
+                               **RETIRED_DEFAULTS) for net in ("g1", "g2")}
+        common = ["--store", str(workspace["store"]), "--resolution", "64",
+                  "--width-multiplier", "0.125", "--batch-size", "2",
+                  "--log-every", "100", "--checkpoint-every", "1000",
+                  "--iterations", "3", "--seed", "0"]
+        inp = tmp_path / "in.ppm"
+        write_ppm(inp, read_ppm(workspace["store"] / "frames" / "synth001" /
+                                "frame_0000.ppm"))
+        outputs = []
+        for files in (workspace, old):
+            tag = "old" if files is old else "new"
+            if stage == 1:
+                args = ["train-stage1", "--resume", str(files["g1"])]
+            else:
+                args = ["train-stage2", "--g1-checkpoint", str(files["g1"]),
+                        "--resume", str(files["g2"])]
+            run = tmp_path / f"run_{tag}"
+            assert main(args + common + ["--out", str(run)]) == 0
+            gen = tmp_path / f"gen_{tag}"
+            assert main(["generate", "--checkpoint", str(files[f"g{stage}"]),
+                         "--frame", str(inp), "--out", str(gen)]) == 0
+            outputs.append([(run / "losses.csv").read_bytes(),
+                            (run / f"stage{stage}_final.mdck").read_bytes()]
+                           + [f.read_bytes() for f in sorted(gen.iterdir())])
+        assert len(outputs[0]) == 2 + 32
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("key, value", [("gram_taps", "conv2,conv5"),
+                                            ("g2_init", "fresh"),
+                                            ("gram_batch_mean", True)])
+    def test_other_value_exit_2_naming_the_key(self, workspace, tmp_path, capsys,
+                                               key, value):
+        bad = _with_echo(workspace["g2"], tmp_path / "bad.mdck",
+                         **{**RETIRED_DEFAULTS, key: value})
+        inp = tmp_path / "in.ppm"
+        write_ppm(inp, np.zeros((64, 64, 3), np.uint8))
+        assert main(["generate", "--checkpoint", str(bad),
+                     "--frame", str(inp), "--out", str(tmp_path / "g")]) == 2
+        assert key in capsys.readouterr().err
+        assert main(["inspect", str(bad)]) == 0
+        assert f"    {key} = {value}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["gram_taps", "gram_batch_mean", "g2_init"])
+    def test_retired_key_in_file_exit_2_as_flag_exit_1(self, workspace, tmp_path, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key} = {RETIRED_DEFAULTS[key]}\n")
+        args = ["train-stage1", "--store", str(workspace["store"]),
+                "--out", str(tmp_path / "r")]
+        assert main(args + ["--config", str(cfg)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(args + [f"--{key.replace('_', '-')}", str(RETIRED_DEFAULTS[key])])
+        assert exc.value.code == 1
+        assert not (tmp_path / "r").exists()
+
+
+class TestNegativeSeed:
+    def test_synth_data_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["synth-data", "--out", str(out), "--resolution", "64",
+                     "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ingest_exit_2(self, workspace, tmp_path, capsys):
+        assert main(["ingest", "--frames-root", str(workspace["store"] / "frames"),
+                     "--out", str(tmp_path / "s"), "--resolution", "64",
+                     "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_evaluate_exit_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "eval.csv"
+        assert main(["evaluate", "--checkpoint", str(workspace["g1"]),
+                     "--store", str(workspace["store"]), "--n", "1",
+                     "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluate:

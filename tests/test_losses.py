@@ -142,13 +142,6 @@ class TestGram:
         d = gram(t64(feat))
         assert_allclose(d.matrix.values, gram_loop_oracle(feat), atol=1e-10)
 
-    def test_batch_mean_switch(self):
-        rng = np.random.default_rng(4)
-        feat = rng.standard_normal((3, 2, 1, 2, 2))
-        a = gram(t64(feat)).matrix.values
-        b = gram(t64(feat), batch_mean=True).matrix.values
-        assert_allclose(b, a / 3.0, rtol=1e-12)
-
     def test_symmetric_and_psd(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

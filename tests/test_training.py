@@ -180,7 +180,7 @@ class TestCheckpointIO:
         p = tmp_path / "s.mdck"
         save_checkpoint(self.make_ckpt(), p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
-            "8d435c0e2a6d28ec11bd045a0c59ae992c8739fbd918730448b09982936f0c89")
+            "231f413ce7d0e21efc1c50fb8642e0ee3a26f829f9818c9eb529b08809e56a67")
 
     def test_load_holds_each_block_once(self, tmp_path):
         """Blocks are read straight into their arrays: loading allocates
@@ -517,11 +517,6 @@ class TestStage2:
     def test_geometry_mismatch_rejected(self, store64, stage1_ckpt):
         with pytest.raises(ConfigError):
             train_stage2(store64, desk_config(width_multiplier=0.25), stage1_ckpt)
-
-    def test_fresh_g2_init(self, store64, stage1_ckpt):
-        ckpt, _ = train_stage2(store64, desk_config(iterations=1, g2_init="fresh"),
-                               stage1_ckpt)
-        assert ckpt.iteration == 1
 
 
 class TestLossTrajectory:
