@@ -109,7 +109,8 @@ def build_parser():
 
 
 def cmd_ingest(args):
-    from .data import ingest, split_store
+    from .data import check_split_args, ingest, split_store
+    check_split_args(args.test_fraction, args.seed)
     records = ingest(args.frames_root, args.out, args.resolution)
     split_store(args.out, args.test_fraction, args.seed)
     sources = {r.source_id for r in records}
@@ -119,7 +120,8 @@ def cmd_ingest(args):
 
 
 def cmd_synth_data(args):
-    from .data import ingest, split_store, synth_frame_dirs
+    from .data import check_split_args, ingest, split_store, synth_frame_dirs
+    check_split_args(args.test_fraction, args.seed)
     frames_dir = Path(args.out) / "frames"
     synth_frame_dirs(frames_dir, args.n_sources, args.frames_per_source,
                      args.resolution, args.velocity, args.seed)
@@ -160,11 +162,6 @@ def cmd_generate(args):
     from .training import GENERATORS, generate_video, load_checkpoint
     ckpt = load_checkpoint(args.checkpoint, nets=GENERATORS)
     frame = read_ppm(args.frame)
-    res = ckpt.config["resolution"]
-    if frame.shape[:2] != (res, res):
-        raise ConfigError(
-            f"frame is {frame.shape[1]}x{frame.shape[0]}, checkpoint wants "
-            f"{res}x{res}")
     x = Tensor(normalize_pixels(frame.transpose(2, 0, 1))[None])
     video = generate_video(ckpt, x)
     paths = export_clip(Tensor(video.values[0]), args.out)

@@ -116,14 +116,17 @@ def load_config(path=None, overrides=None):
 
 
 def config_from_dict(d):
-    """Rebuild a config echoed into an artifact (e.g. a checkpoint). A key
-    retired in 0.2.0 is dropped if it holds the value now fixed."""
+    """Rebuild a config echoed into an artifact (e.g. a checkpoint), which
+    names every key. A key retired in 0.2.0 is dropped if it holds the value
+    now fixed."""
     for key, fixed in _RETIRED.items():
         if d.get(key, fixed) != fixed:
             raise ConfigError(f"{key} is retired and only {fixed!r} still runs, "
                               f"got {d[key]!r}")
     d = {k: v for k, v in d.items() if k not in _RETIRED}
-    unknown = set(d) - set(_FIELD_TYPES)
+    unknown, missing = set(d) - set(_FIELD_TYPES), set(_FIELD_TYPES) - set(d)
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    if missing:
+        raise ConfigError(f"config echo lacks keys {sorted(missing)}")
     return RunConfig(**d).validate()

@@ -250,13 +250,18 @@ def ingest(frame_root, out_store, target_resolution):
     return records
 
 
-def split_store(store_dir, test_fraction, seed):
-    """Tag manifest records train/test by source so the test clip count
-    approximates ``test_fraction``; clips of one source never straddle."""
+def check_split_args(test_fraction, seed):
+    """Reject what ``split_store`` would, before the store is written."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must lie in (0,1), got {test_fraction}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
+def split_store(store_dir, test_fraction, seed):
+    """Tag manifest records train/test by source so the test clip count
+    approximates ``test_fraction``; clips of one source never straddle."""
+    check_split_args(test_fraction, seed)
     records = read_manifest(store_dir)
     by_source = {}
     for rec in records:

@@ -209,10 +209,9 @@ def evaluate(checkpoint_path, store_dir, n_samples, seed, out_csv=None):
 
     ckpt = training.load_checkpoint(checkpoint_path, nets=training.GENERATORS)
     store = ClipStore(store_dir)
-    if store.resolution != ckpt.config["resolution"]:
-        raise ConfigError(
-            f"store resolution {store.resolution} != checkpoint "
-            f"{ckpt.config['resolution']}")
+    res = ckpt.run_config().resolution
+    if store.resolution != res:
+        raise ConfigError(f"store resolution {store.resolution} != checkpoint {res}")
 
     def predict(clip):
         frame = Tensor(normalize_pixels(clip[:, 0])[None])

@@ -271,12 +271,7 @@ def forward_generator(spec, params, x, mode="train", update_running=True,
     cur = x
     for layer in spec.layers:
         if layer.name in spec.skip_map:
-            skip = cache[spec.skip_map[layer.name]]
-            if skip.shape != cur.shape:
-                raise RuntimeError(
-                    f"internal skip junction mismatch at {layer.name}: "
-                    f"{skip.shape} vs {cur.shape}")
-            cur = cur + skip
+            cur = cur + cache[spec.skip_map[layer.name]]
         frames = _short_clip(layer, cur.shape[2], cur is x) if short else None
         short = frames is not None
         cur = _apply_layer(layer, params, cur, mode, update_running,

@@ -144,15 +144,6 @@ class Tensor:
     def transpose(self, axes):
         return transpose(self, axes)
 
-    def abs(self):
-        return abs_(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
 
 def as_tensor(x, dtype=None):
     return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)

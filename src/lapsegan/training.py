@@ -52,23 +52,18 @@ class AdamState:
     m: dict
     v: dict
     t: int
-    beta1: float
-    beta2: float
-    eps: float
-    lr: float
 
     @classmethod
-    def fresh(cls, params, cfg):
+    def fresh(cls, params):
         zeros = {k: np.zeros_like(t.values) for k, t in params.tensors.items()}
-        return cls(m=zeros, v={k: z.copy() for k, z in zeros.items()}, t=0,
-                   beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps, lr=cfg.lr)
+        return cls(m=zeros, v={k: z.copy() for k, z in zeros.items()}, t=0)
 
 
 _ADAM_CHUNK = 1 << 15  # elements per Adam chunk: ~6 arrays of it stay in L2
 
 
-def adam_step(params, grads, state):
-    """One bias-corrected Adam update, in place on the parameter values.
+def adam_step(params, grads, state, cfg):
+    """One bias-corrected Adam update by ``cfg``, in place on the parameter values.
 
     ``grads`` maps parameter names to arrays; parameters absent from it
     receive a zero gradient. A non-finite gradient aborts the update before
@@ -85,7 +80,7 @@ def adam_step(params, grads, state):
             raise TrainingDiverged(f"non-finite gradient for {name}")
         full[name] = g
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = cfg.beta1, cfg.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, tensor in params.tensors.items():
@@ -106,8 +101,8 @@ def adam_step(params, grads, state):
                 np.divide(mc, m.dtype.type(c1), out=step)       # mhat
                 np.divide(vc, v.dtype.type(c2), out=denom)      # vhat
                 np.sqrt(denom, out=denom)
-                denom += state.eps
-                step *= state.lr
+                denom += cfg.adam_eps
+                step *= cfg.lr
                 step /= denom
                 pc -= step.astype(pc.dtype, copy=False)
 
@@ -178,9 +173,7 @@ def save_checkpoint(ckpt, path):
         "stage": ckpt.stage,
         "iteration": ckpt.iteration,
         "config": ckpt.config,
-        "adam": {net: {"t": st.t, "beta1": st.beta1, "beta2": st.beta2,
-                       "eps": st.eps, "lr": st.lr}
-                 for net, st in ckpt.adam.items()},
+        "adam": {net: {"t": st.t} for net, st in ckpt.adam.items()},
     }
     if ckpt.train_split_sha256 is not None:
         meta["train_split_sha256"] = ckpt.train_split_sha256
@@ -222,11 +215,22 @@ def save_checkpoint(ckpt, path):
     return path
 
 
+_META_KEYS = {  # each meta key's test (JSON true is no int); only the hash may be absent
+    "stage": lambda v: type(v) is int and v in (1, 2),
+    "iteration": lambda v: type(v) is int and v >= 0,
+    "config": lambda v: isinstance(v, dict),
+    "adam": lambda v: isinstance(v, dict) and all(
+        isinstance(st, dict) and type(st.get("t")) is int and st["t"] >= 0
+        for st in v.values()),
+    "train_split_sha256": lambda v: v is None or isinstance(v, str),
+}
+
+
 def load_checkpoint(path, nets=None):
     """Read a checkpoint, one block at a time straight into its own array.
     With ``nets``, keep only those networks' parameters and buffers and no
     Adam state; every other block is still read through the checksum, then
-    dropped."""
+    dropped. Adam hyperparameters that files before 0.3.0 carry are ignored."""
     with open(path, "rb") as fp:
         head = fp.read(12)
         if len(head) < 12 or head[:4] != CHECKPOINT_MAGIC:
@@ -261,14 +265,15 @@ def load_checkpoint(path, nets=None):
             raise IntegrityError(f"{path}: corrupt or truncated ({e})") from None
     if body.crc != crc:
         raise IntegrityError(f"{path}: checksum mismatch (corrupt or truncated)")
+    for key, ok in _META_KEYS.items():
+        if not (isinstance(meta, dict) and ok(meta.get(key))):
+            raise IntegrityError(f"{path}: meta key {key!r} missing or malformed")
 
     adam = {}
-    for net, scalars in (meta.get("adam", {}) if nets is None else {}).items():
+    for net, scalars in (meta["adam"] if nets is None else {}).items():
         arrs = adam_arrays.get(net, {})
         adam[net] = AdamState(m=arrs.get("adam_m", {}), v=arrs.get("adam_v", {}),
-                              t=scalars["t"], beta1=scalars["beta1"],
-                              beta2=scalars["beta2"], eps=scalars["eps"],
-                              lr=scalars["lr"])
+                              t=scalars["t"])
     return Checkpoint(stage=meta["stage"], iteration=meta["iteration"],
                       config=meta["config"], params=params, adam=adam,
                       train_split_sha256=meta.get("train_split_sha256"))
@@ -381,7 +386,7 @@ def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, lam,
                     backward(loss)
                     grads = {name: t.grad for name, t in params[net].tensors.items()
                              if t.grad is not None}
-                    adam_step(params[net], grads, adam[net])
+                    adam_step(params[net], grads, adam[net], cfg)
                 finally:
                     for t in frozen:
                         t.requires_grad = True
@@ -451,7 +456,7 @@ def train_stage1(store, cfg, out_dir=None, resume=None):
     else:
         params = {"g1": init_parameters(g_spec, _init_seed(cfg, 1)),
                   "d1": init_parameters(d_spec, _init_seed(cfg, 2))}
-        adam = {net: AdamState.fresh(ps, cfg) for net, ps in params.items()}
+        adam = {net: AdamState.fresh(ps) for net, ps in params.items()}
         start = 0
     nets = (g_spec, params["g1"], d_spec, params["d1"])
 
@@ -556,7 +561,7 @@ def train_stage2(store, cfg, g1_checkpoint, out_dir=None, resume=None):
     else:
         params = {"g1": g1_params, "g2": g1_params.clone(),
                   "d2": init_parameters(d_spec, _init_seed(cfg, 4))}
-        adam = {net: AdamState.fresh(params[net], cfg) for net in ("g2", "d2")}
+        adam = {net: AdamState.fresh(params[net]) for net in ("g2", "d2")}
         start = 0
     nets = (g1_spec, params["g1"], g2_spec, params["g2"], d_spec, params["d2"])
 

@@ -251,17 +251,21 @@ class TestGenerate:
         assert code == 3
 
 
-def _with_echo(src, dst, **keys):
-    """Copy checkpoint ``src`` to ``dst`` with ``keys`` added to its config
-    echo, as files written before 0.2.0 carry them, and the CRC recomputed."""
+def _with_meta(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit(meta)``'s result as its
+    meta block and the CRC recomputed."""
     payload = src.read_bytes()[12:]
     n, = struct.unpack("<I", payload[:4])
-    meta = json.loads(payload[4:4 + n])
-    meta["config"].update(keys)
-    raw_meta = json.dumps(meta, sort_keys=True).encode()
+    raw_meta = json.dumps(edit(json.loads(payload[4:4 + n])), sort_keys=True).encode()
     payload = struct.pack("<I", len(raw_meta)) + raw_meta + payload[4 + n:]
     dst.write_bytes(b"MDCK" + struct.pack("<II", 2, zlib.crc32(payload)) + payload)
     return dst
+
+
+def _with_echo(src, dst, **keys):
+    """Copy checkpoint ``src`` to ``dst`` with ``keys`` added to its config
+    echo, as files written before 0.2.0 carry them, and the CRC recomputed."""
+    return _with_meta(src, dst, lambda meta: {**meta, "config": {**meta["config"], **keys}})
 
 
 RETIRED_DEFAULTS = {"gram_taps": "auto", "gram_batch_mean": False, "g2_init": "g1"}
@@ -328,6 +332,59 @@ class TestPre020Files:
             main(args + [f"--{key.replace('_', '-')}", str(RETIRED_DEFAULTS[key])])
         assert exc.value.code == 1
         assert not (tmp_path / "r").exists()
+
+
+MALFORMED_META = {  # name: (edit, exit code, what the error names)
+    "empty": (lambda m: {}, 3, "'stage'"),
+    "list": (lambda m: [], 3, "'stage'"),
+    "adam_without_t": (lambda m: {**m, "adam": {**m["adam"], "g2": {}}}, 3, "'adam'"),
+    "config_list": (lambda m: {**m, "config": sorted(m["config"])}, 3, "'config'"),
+    "config_without_resolution": (
+        lambda m: {**m, "config": {k: v for k, v in m["config"].items()
+                                   if k != "resolution"}},
+        2, "lacks keys ['resolution']"),
+}
+
+
+class TestMalformedMeta:
+    """CRC-valid checkpoints whose meta block is malformed exit 3 naming the
+    first bad key; a config echo that would not run exits 2, except from
+    ``inspect``, which prints the echo as stored."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_META))
+    @pytest.mark.parametrize("command", ["inspect", "generate", "evaluate"])
+    def test_exit_code_without_traceback(self, workspace, tmp_path, capsys,
+                                         command, case):
+        edit, code, named = MALFORMED_META[case]
+        if command == "inspect" and code == 2:
+            code, named = 0, "config echo:"
+        bad = _with_meta(workspace["g2"], tmp_path / "bad.mdck", edit)
+        inp = tmp_path / "in.ppm"
+        write_ppm(inp, np.zeros((64, 64, 3), np.uint8))
+        out = tmp_path / "out"
+        args = {"inspect": ["inspect", str(bad)],
+                "generate": ["generate", "--checkpoint", str(bad), "--frame", str(inp),
+                             "--out", str(out)],
+                "evaluate": ["evaluate", "--checkpoint", str(bad), "--n", "1",
+                             "--store", str(workspace["store"]), "--out", str(out)]}
+        assert main(args[command]) == code
+        printed = capsys.readouterr()
+        assert named in printed.out + printed.err and "Traceback" not in printed.err
+        assert not out.exists()
+
+
+class TestSplitArgs:
+    """Split arguments are checked before any file of the store is written."""
+
+    @pytest.mark.parametrize("bad", [["--test-fraction", "1.5"], ["--seed", "-1"]],
+                             ids=["fraction", "seed"])
+    @pytest.mark.parametrize("command", ["synth-data", "ingest"])
+    def test_exit_2_before_writing(self, workspace, tmp_path, command, bad):
+        out = tmp_path / "s"
+        args = {"synth-data": ["synth-data", "--n-sources", "3"],
+                "ingest": ["ingest", "--frames-root", str(workspace["store"] / "frames")]}
+        assert main(args[command] + ["--out", str(out), "--resolution", "64"] + bad) == 2
+        assert not (out / "manifest.jsonl").exists()
 
 
 class TestNegativeSeed:
@@ -473,7 +530,9 @@ class TestUsage:
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with open(pyproject, "rb") as fp:
-            entry = tomllib.load(fp)["project"]["scripts"]["lapsegan"]
+            project = tomllib.load(fp)["project"]
+        assert project["version"] == lapsegan.__version__
+        entry = project["scripts"]["lapsegan"]
         module, func = entry.split(":")
         code = f"import sys; from {module} import {func}; sys.exit({func}())"
         out = subprocess.run([sys.executable, "-c", code, "--version"],

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -31,48 +32,52 @@ def param_set(values):
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         ps = param_set({"w": [1.0, -2.0, 3.0]})
-        st = AdamState.fresh(ps, desk_config())
+        cfg = desk_config()
+        st = AdamState.fresh(ps)
         g = np.array([0.5, -0.25, 1e-3], dtype=np.float32)
-        adam_step(ps, {"w": g}, st)
-        expected = np.float32([1.0, -2.0, 3.0]) - st.lr * np.sign(g)
-        assert_allclose(ps.tensors["w"].values, expected, atol=st.lr * 1e-3)
+        adam_step(ps, {"w": g}, st, cfg)
+        expected = np.float32([1.0, -2.0, 3.0]) - cfg.lr * np.sign(g)
+        assert_allclose(ps.tensors["w"].values, expected, atol=cfg.lr * 1e-3)
         assert st.t == 1
 
     def test_zero_gradient_keeps_parameters(self):
         ps = param_set({"w": [1.5, 2.5]})
-        st = AdamState.fresh(ps, desk_config())
-        adam_step(ps, {"w": np.zeros(2, np.float32)}, st)
-        adam_step(ps, {}, st)  # absent gradient counts as zero
+        cfg = desk_config()
+        st = AdamState.fresh(ps)
+        adam_step(ps, {"w": np.zeros(2, np.float32)}, st, cfg)
+        adam_step(ps, {}, st, cfg)  # absent gradient counts as zero
         assert_array_equal(ps.tensors["w"].values, np.float32([1.5, 2.5]))
         assert st.t == 2
 
     def test_deterministic_trajectory(self):
         def run():
             ps = param_set({"w": [0.3, -0.8]})
-            st = AdamState.fresh(ps, desk_config())
+            cfg = desk_config()
+            st = AdamState.fresh(ps)
             rng = np.random.default_rng(0)
             for _ in range(20):
-                adam_step(ps, {"w": rng.normal(size=2).astype(np.float32)}, st)
+                adam_step(ps, {"w": rng.normal(size=2).astype(np.float32)}, st, cfg)
             return ps.tensors["w"].values.tobytes()
 
         assert run() == run()
 
     def test_non_finite_gradient_aborts(self):
         ps = param_set({"w": [1.0]})
-        st = AdamState.fresh(ps, desk_config())
+        st = AdamState.fresh(ps)
         with pytest.raises(TrainingDiverged):
-            adam_step(ps, {"w": np.array([np.nan], np.float32)}, st)
+            adam_step(ps, {"w": np.array([np.nan], np.float32)}, st, desk_config())
 
     def test_non_finite_gradient_changes_nothing(self):
         ps = param_set({"a": [1.0, -1.0], "b": [2.0]})
-        st = AdamState.fresh(ps, desk_config())
-        adam_step(ps, {"a": np.float32([0.5, 0.25]), "b": np.float32([1.0])}, st)
+        cfg = desk_config()
+        st = AdamState.fresh(ps)
+        adam_step(ps, {"a": np.float32([0.5, 0.25]), "b": np.float32([1.0])}, st, cfg)
         values = {k: t.values.copy() for k, t in ps.tensors.items()}
         m = {k: a.copy() for k, a in st.m.items()}
         v = {k: a.copy() for k, a in st.v.items()}
         with pytest.raises(TrainingDiverged):
             adam_step(ps, {"a": np.float32([0.5, 0.25]),
-                           "b": np.float32([np.nan])}, st)
+                           "b": np.float32([np.nan])}, st, cfg)
         assert st.t == 1
         for k in ("a", "b"):
             assert_array_equal(ps.tensors[k].values, values[k])
@@ -80,10 +85,10 @@ class TestAdam:
             assert_array_equal(st.v[k], v[k])
 
 
-def adam_reference(params, grads, state):
+def adam_reference(params, grads, state, cfg):
     """Adam as one expression per moment and update, allocating its temporaries."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = cfg.beta1, cfg.beta2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     for name, tensor in params.tensors.items():
         g = grads.get(name, np.zeros_like(tensor.values))
@@ -94,7 +99,7 @@ def adam_reference(params, grads, state):
         v += (1.0 - b2) * (g * g)
         mhat = m / m.dtype.type(c1)
         vhat = v / v.dtype.type(c2)
-        tensor.values -= (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(
+        tensor.values -= (cfg.lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)).astype(
             tensor.values.dtype)
 
 
@@ -106,12 +111,12 @@ class TestAdamBitwise:
         start = {"w": rng.standard_normal((4, 5)), "b": [0.5, -0.0, 0.0],
                  "big": rng.standard_normal(3 * training._ADAM_CHUNK + 7),
                  "f": np.asfortranarray(rng.standard_normal((6, 7)))}
-        runs = []
+        runs, cfg = [], desk_config()
         for step in (adam_step, adam_reference):
             ps = param_set(start)
             for t in ps.tensors.values():
                 t.values = t.values.astype(dtype, order="K")
-            st = AdamState.fresh(ps, desk_config())
+            st = AdamState.fresh(ps)
             grads_rng = np.random.default_rng(9)
             for i in range(6):
                 grads = {k: (grads_rng.standard_normal(t.shape)
@@ -122,7 +127,7 @@ class TestAdamBitwise:
                 grads["f"] = np.asfortranarray(grads["f"])
                 if i == 3:
                     del grads["b"]  # an absent gradient counts as zero
-                step(ps, grads, st)
+                step(ps, grads, st, cfg)
             runs.append((ps, st))
         (ps, st), (ref_ps, ref_st) = runs
         assert st.t == ref_st.t == 6
@@ -132,11 +137,33 @@ class TestAdamBitwise:
             assert st.v[k].tobytes() == ref_st.v[k].tobytes()
 
 
+def rewrite_meta(path, edit):
+    """Apply ``edit`` to a checkpoint file's meta block and recompute its CRC."""
+    payload = path.read_bytes()[12:]
+    n, = struct.unpack("<I", payload[:4])
+    meta = json.loads(payload[4:4 + n])
+    edit(meta)
+    raw_meta = json.dumps(meta, sort_keys=True).encode()
+    payload = struct.pack("<I", len(raw_meta)) + raw_meta + payload[4 + n:]
+    path.write_bytes(b"MDCK" + struct.pack("<II", 2, zlib.crc32(payload)) + payload)
+
+
+def add_rng_state(meta):
+    meta["rng_state"] = {"bit_generator": "PCG64"}
+
+
+def add_adam_copies(meta):
+    """The Adam hyperparameters files before 0.3.0 carry per network."""
+    cfg = desk_config()
+    for st in meta["adam"].values():
+        st.update(beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps, lr=cfg.lr)
+
+
 class TestCheckpointIO:
     def make_ckpt(self):
         ps = param_set({"conv.weight": np.arange(6, dtype=np.float32).reshape(2, 3)})
         ps.buffers["conv.running_mean"] = np.float32([0.1, 0.2])
-        st = AdamState.fresh(ps, desk_config())
+        st = AdamState.fresh(ps)
         st.t = 7
         st.m["conv.weight"][...] = 0.25
         return Checkpoint(stage=1, iteration=42, config=desk_config().as_dict(),
@@ -160,25 +187,33 @@ class TestCheckpointIO:
         assert_array_equal(back.params["g1"].buffers["conv.running_mean"],
                            np.float32([0.1, 0.2]))
 
-    def test_reads_meta_with_rng_state(self, tmp_path):
-        """Files whose meta still carries the retired rng_state key load."""
-        p = tmp_path / "r.mdck"
+    @pytest.mark.parametrize("retired", [add_rng_state, add_adam_copies],
+                             ids=["rng_state", "adam_copies"])
+    def test_reads_meta_with_rng_state(self, tmp_path, retired):
+        """Files whose meta still carries a retired key load and resume like
+        the file without it: rng_state, or the Adam hyperparameter copies."""
+        p, clean = tmp_path / "r.mdck", tmp_path / "clean.mdck"
         save_checkpoint(self.make_ckpt(), p)
-        payload = p.read_bytes()[12:]
-        n, = struct.unpack("<I", payload[:4])
-        meta = json.loads(payload[4:4 + n])
-        meta["rng_state"] = {"bit_generator": "PCG64"}
-        raw_meta = json.dumps(meta, sort_keys=True).encode()
-        payload = struct.pack("<I", len(raw_meta)) + raw_meta + payload[4 + n:]
-        p.write_bytes(b"MDCK" + struct.pack("<II", 2, zlib.crc32(payload)) + payload)
+        save_checkpoint(self.make_ckpt(), clean)
+        rewrite_meta(p, retired)
         back = load_checkpoint(p)
         assert back.stage == 1 and back.iteration == 42
         assert back.adam["g1"].t == 7
+        resumed = []
+        for ckpt in (back, load_checkpoint(clean)):
+            adam_step(ckpt.params["g1"], {"conv.weight": np.full((2, 3), 0.5, np.float32)},
+                      ckpt.adam["g1"], desk_config())
+            resumed.append(save_checkpoint(ckpt, tmp_path / "next.mdck").read_bytes())
+        assert resumed[0] == resumed[1]
 
     def test_file_bytes_pinned(self, tmp_path):
-        """The streamed writer lays out the same bytes as the format always had."""
+        """The streamed writer lays out the same bytes as the format always
+        had, less the Adam hyperparameter copies files before 0.3.0 carry."""
         p = tmp_path / "s.mdck"
         save_checkpoint(self.make_ckpt(), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "5582b95408c46b124a290fbe77113ee05372bceac1cd240c5381359763a8041d")
+        rewrite_meta(p, add_adam_copies)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
             "231f413ce7d0e21efc1c50fb8642e0ee3a26f829f9818c9eb529b08809e56a67")
 
@@ -277,9 +312,9 @@ class TestStage1:
         calls = []
         real_step = training.adam_step
 
-        def spy(params, grads, state):
+        def spy(params, grads, state, cfg):
             calls.append(id(params))
-            return real_step(params, grads, state)
+            return real_step(params, grads, state, cfg)
 
         monkeypatch.setattr(training, "adam_step", spy)
         ckpt, _ = train_stage1(store64, desk_config(iterations=2))
@@ -379,12 +414,12 @@ class TestPhaseGradients:
         steps = []
         real_step = training.adam_step
 
-        def spy(net_params, grads, state):
+        def spy(net_params, grads, state, cfg):
             d = params[f"d{stage}"].tensors.values()
             steps.append((net_params is params[f"d{stage}"],
                           any(t.grad is not None for t in d),
                           all(t.requires_grad for t in d)))
-            return real_step(net_params, grads, state)
+            return real_step(net_params, grads, state, cfg)
 
         monkeypatch.setattr(training, "adam_step", spy)
         self.run(stage, store64, stage1_ckpt)
@@ -571,10 +606,9 @@ def direction_probe(store, stage1_ckpt, seed, step=1e-4):
         before = objective_fn().item()
         backward(objective_fn() * sign)
         saved = {k: t.values.copy() for k, t in params.tensors.items()}
-        st = AdamState.fresh(params, cfg)
-        st.lr = step
         adam_step(params, {k: t.grad for k, t in params.tensors.items()
-                           if t.grad is not None}, st)
+                           if t.grad is not None}, AdamState.fresh(params),
+                  dataclasses.replace(cfg, lr=step))
         after = objective_fn().item()
         for k, t in params.tensors.items():
             t.values[...] = saved[k]
