@@ -70,6 +70,8 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# The JSON values an echo may hold per field type; a bool is never one.
+_ECHO_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def _coerce(key, raw):
@@ -117,8 +119,8 @@ def load_config(path=None, overrides=None):
 
 def config_from_dict(d):
     """Rebuild a config echoed into an artifact (e.g. a checkpoint), which
-    names every key. A key retired in 0.2.0 is dropped if it holds the value
-    now fixed."""
+    names every key, each holding a value of its field's type. A key retired
+    in 0.2.0 is dropped if it holds the value now fixed."""
     for key, fixed in _RETIRED.items():
         if d.get(key, fixed) != fixed:
             raise ConfigError(f"{key} is retired and only {fixed!r} still runs, "
@@ -129,4 +131,8 @@ def config_from_dict(d):
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     if missing:
         raise ConfigError(f"config echo lacks keys {sorted(missing)}")
+    for key, value in d.items():
+        kind = _FIELD_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, _ECHO_TYPES[kind]):
+            raise ConfigError(f"{key} must be a {kind}, got {value!r}")
     return RunConfig(**d).validate()

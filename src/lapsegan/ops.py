@@ -34,17 +34,33 @@ single filter's forward or dW) is a matrix-vector product, whose bits
 OpenBLAS's gemv changes with the number of outputs one call covers, so it
 stays one block.
 
+Each (sample, block) pair is one job, and ``_run`` runs the jobs of an op on
+a pool with one thread per CPU (one job, or one CPU, runs inline). A job's
+GEMM is the call the batched matmul makes for that sample, and each job
+writes only its own slice of an array the calling thread made, so the bits
+do not depend on the number of threads or on which job finishes first.
+``_weight_gradient``'s calling thread adds the samples' products in sample
+order. The calling thread also makes every buffer a job uses, one set per
+worker, reused job after job: at most one column block per worker is in
+flight. Workers never make a ``Tensor`` or touch the tape, so the
+module-global state of ``tensor.no_grad`` stays correct.
+
 The rearrangement works on a stride-phase grid (space-to-depth, Shi et al.,
 arXiv:1609.07009): the zero-padded volume is stored as
 (N, C, st, sh, sw, Tq, Hq, Wq), phase (i, j, l) holding every padded voxel
 whose index is (i, j, l) modulo the stride. Kernel tap (a, b, d) then reads or
 scatter-adds one unit-stride block of phase (a%st, b%sh, d%sw) at offset
 (a//st, b//sh, d//sw), instead of striding over the padded volume on every
-axis. Taps are visited in (kt, kh, kw) order, so each voxel of a scatter
-receives its additions in that fixed order.
+axis. The taps that share an offset read phases 0, 1, ... at the same place,
+so one basic-slice copy or add covers them all: ceil(k/s)^3 numpy calls per
+gather or scatter instead of k^3. Offsets are visited in (kt, kh, kw) order,
+so each voxel of a scatter still receives its additions in tap order.
 """
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import product
 
@@ -62,6 +78,10 @@ BN_MOMENTUM = 0.1  # weight of the new batch statistic
 # there lowered glibc's trim threshold below a generate's heap churn, which
 # then faulted in fresh pages on every call.
 _BLOCK = 6 << 20
+# Pool threads: one per CPU this process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
+_pool = None
 
 
 @dataclass(frozen=True)
@@ -132,14 +152,19 @@ def _phase_layout(spatial, params):
     return extents, slices
 
 
-def _tap(stride, kernel_offset, origins):
-    """Phase-grid index of kernel tap (a,b,d) over the window origins
-    ``origins``, one range per axis: one unit-stride block of phase
-    (a%st, b%sh, d%sw)."""
-    phase = tuple(k % s for k, s in zip(kernel_offset, stride))
-    blocks = tuple(slice(k // s + r.start, k // s + r.stop)
-                   for k, s, r in zip(kernel_offset, stride, origins))
-    return (slice(None), slice(None)) + phase + blocks
+def _offsets(params, origins):
+    """One (column index, grid index) pair per kernel offset q = tap // stride,
+    in (kt, kh, kw) order, over the window origins ``origins`` (one range per
+    axis). Per axis, offset q covers the kernel's taps q*s, q*s+1, ... up to
+    q*s+s-1, and tap q*s+i reads phase i at offset q, so one basic slice of
+    the grid, phases 0, 1, ..., holds the windows of them all."""
+    axes = []
+    for k, s, r in zip(params.kernel, params.stride, origins):
+        axes.append([(slice(q * s, min(k, q * s + s)), slice(0, min(s, k - q * s)),
+                      slice(q + r.start, q + r.stop)) for q in range(-(-k // s))])
+    for (ta, pa, oa), (tb, pb, ob), (td, pd, od) in product(*axes):
+        yield (Ellipsis, ta, tb, td, slice(None), slice(None), slice(None)), \
+            (slice(None), slice(None), pa, pb, pd, oa, ob, od)
 
 
 def _blocks(extent, unit, split=True):
@@ -151,6 +176,70 @@ def _blocks(extent, unit, split=True):
     return [slice(extent * i // count, extent * (i + 1) // count) for i in range(count)]
 
 
+def _executor():
+    """The pool of ``_WORKERS`` threads, made on first use."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="lapsegan-ops")
+    return _pool
+
+
+def _forget_pool():
+    global _pool
+    _pool = None  # a forked child has none of its parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _inline(fn, *args):
+    """``Executor.submit`` that runs ``fn`` in the calling thread."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+def _run(job, tasks, buffers, done=None):
+    """Call ``job(scratch, *task)`` for every task of the list ``tasks`` and
+    then, in the calling thread and in task order, ``done(scratch, *task)``.
+    ``scratch`` holds one flat array per (elements, dtype) of ``buffers``
+    for each job that may be in flight, no two running jobs sharing one. The
+    calling thread makes them all: as slices of one array where that fits
+    in ``_BLOCK`` elements, so that it is one warm heap chunk, as the batched
+    block it replaces was, and one array each where it does not. One task,
+    or one worker, runs inline; otherwise the jobs run on the pool, at most
+    one per worker at a time. Every job's result is read, so an exception in
+    a job raises here, once no job of the call is running."""
+    slots = 1 if len(tasks) == 1 or _WORKERS == 1 else min(_WORKERS, len(tasks))
+    free = [[] for _ in range(slots)]
+    for size, dtype in buffers:
+        whole = np.empty(slots * size, dtype) if slots * size <= _BLOCK else None
+        for i, scratch in enumerate(free):
+            scratch.append(np.empty(size, dtype) if whole is None else
+                           whole[i * size:(i + 1) * size])
+    submit = _executor().submit if slots > 1 else _inline
+    running = deque()
+
+    def finish():
+        scratch, task, future = running.popleft()
+        future.result()
+        if done is not None:
+            done(scratch, *task)
+        free.append(scratch)
+
+    try:
+        for task in tasks:
+            if not free:
+                finish()
+            scratch = free.pop()
+            running.append((scratch, task, submit(job, scratch, *task)))
+        while running:
+            finish()
+    finally:
+        wait([future for _, _, future in running])
+
+
 def _phase_grid(v, params):
     """Zero-pad a (N,C,*spatial) volume into its phase grid."""
     extents, slices = _phase_layout(v.shape[2:], params)
@@ -160,43 +249,51 @@ def _phase_grid(v, params):
     return grid
 
 
-def _im2col(grid, params, origins):
+def _im2col(grid, params, origins, out):
     """Gather the kernel windows at ``origins`` (one range per axis) of a
     phase grid into one column block (N, C*kt*kh*kw, #origins), window-major
-    in (C, kt, kh, kw) order."""
+    in (C, kt, kh, kw) order, held at the front of the flat buffer ``out``:
+    one copy per kernel offset."""
     n, c = grid.shape[:2]
     shape = (n, c) + tuple(params.kernel) + tuple(len(r) for r in origins)
-    cols = np.empty(shape, dtype=grid.dtype)
-    for a, b, d in np.ndindex(*params.kernel):
-        cols[:, :, a, b, d] = grid[_tap(params.stride, (a, b, d), origins)]
+    cols = out[:int(np.prod(shape))].reshape(shape)
+    for taps, blocks in _offsets(params, origins):
+        cols[taps] = grid[blocks]
     return cols.reshape(n, c * int(np.prod(params.kernel)), -1)
 
 
 def _correlate(w_mat, grid, params, windows):
     """Correlate the (C_out, C_in*K) weight with every window of a phase
-    grid, ``windows`` origins per axis: (N, C_out, L), one block of output
-    frames at a time."""
+    grid, ``windows`` origins per axis: (N, C_out, L), one job per sample and
+    block of output frames."""
     n = grid.shape[0]
     to, ho, wo = windows
     out = np.empty((n, w_mat.shape[0], to * ho * wo), np.result_type(w_mat, grid))
-    for f in _blocks(to, n * w_mat.shape[1] * ho * wo, split=len(w_mat) > 1):
-        # the block dies with the call, so the next one reuses its warm memory
-        np.matmul(w_mat, _im2col(grid, params, (range(to)[f], range(ho), range(wo))),
-                  out=out[:, :, f.start * ho * wo:f.stop * ho * wo])
+    frames = _blocks(to, n * w_mat.shape[1] * ho * wo, split=len(w_mat) > 1)
+    widest = max(f.stop - f.start for f in frames)
+
+    def job(scratch, i, f):
+        cols = _im2col(grid[i:i + 1], params, (range(to)[f], range(ho), range(wo)),
+                       scratch[0])
+        np.matmul(w_mat, cols[0], out=out[i, :, f.start * ho * wo:f.stop * ho * wo])
+
+    _run(job, [(i, f) for i in range(n) for f in frames],
+         [(w_mat.shape[1] * widest * ho * wo, grid.dtype)])
     return out
 
 
-def _col2im(cols, params, windows, out):
+def _col2im(cols, params, windows, out, grid):
     """The adjoint of ``_im2col``: scatter-add a column block (N, C*K, L) of
-    ``windows`` origins per axis, tap by tap, into a zeroed phase grid, then
-    crop the grid into the (N, C, *spatial) volume ``out``."""
-    kernel, stride = tuple(params.kernel), tuple(params.stride)
+    ``windows`` origins per axis, one kernel offset at a time, into a phase
+    grid zeroed at the front of the flat buffer ``grid``, then crop the grid
+    into the (N, C, *spatial) volume ``out``."""
     extents, slices = _phase_layout(out.shape[2:], params)
-    cols = cols.reshape(out.shape[:2] + kernel + tuple(windows))
-    grid = np.zeros(out.shape[:2] + stride + extents, dtype=out.dtype)
-    origins = tuple(range(e) for e in windows)
-    for a, b, d in np.ndindex(*kernel):
-        grid[_tap(stride, (a, b, d), origins)] += cols[:, :, a, b, d]
+    cols = cols.reshape(out.shape[:2] + tuple(params.kernel) + tuple(windows))
+    shape = out.shape[:2] + tuple(params.stride) + extents
+    grid = grid[:int(np.prod(shape))].reshape(shape)
+    grid[...] = 0
+    for taps, blocks in _offsets(params, tuple(range(e) for e in windows)):
+        grid[blocks] += cols[taps]
     for gi, vi in slices:
         out[vi] = grid[gi]
 
@@ -204,29 +301,62 @@ def _col2im(cols, params, windows, out):
 def _correlate_adjoint(w_mat, g_mat, channels, params, windows, spatial):
     """The data adjoint of ``_correlate``: the transposed GEMM onto
     ``windows`` origins and its ``_col2im`` into a (N, channels, *spatial)
-    volume, one block of ``channels`` (rows of the GEMM) at a time."""
-    n = g_mat.shape[0]
+    volume, one job per sample and block of ``channels`` (rows of the
+    GEMM)."""
+    n, _, positions = g_mat.shape
     k = int(np.prod(params.kernel))
     v = np.empty((n, channels) + tuple(spatial), dtype=g_mat.dtype)
-    for ch in _blocks(channels, n * k * g_mat.shape[2]):
-        _col2im(w_mat[:, ch.start * k:ch.stop * k].T[None] @ g_mat, params, windows,
-                v[:, ch])
+    blocks = _blocks(channels, n * k * positions)
+    widest = max(ch.stop - ch.start for ch in blocks)
+    extents, _ = _phase_layout(spatial, params)
+    phases = int(np.prod(params.stride)) * int(np.prod(extents))
+
+    def job(scratch, i, ch):
+        cols, grid = scratch
+        cols = cols[:(ch.stop - ch.start) * k * positions].reshape(-1, positions)
+        np.matmul(w_mat[:, ch.start * k:ch.stop * k].T, g_mat[i], out=cols)
+        _col2im(cols[None], params, windows, v[i:i + 1, ch], grid)
+
+    _run(job, [(i, ch) for i in range(n) for ch in blocks],
+         [(widest * k * positions, np.result_type(w_mat, g_mat)),
+          (widest * phases, v.dtype)])
     return v
 
 
 def _weight_gradient(weight, lhs, grid, params, windows):
     """Accumulate the sum over the batch of ``lhs[n] @ cols[n].T`` into the
-    weight's gradient, ``cols`` the windows of a phase grid, one block of
-    the grid's channels (columns of dW) at a time. For one sample, the sum
-    would only compute 0 + g, which ``_accumulate`` does anyway, so it is
-    skipped."""
+    weight's gradient, ``cols`` the windows of a phase grid, one job per block
+    of the grid's channels (columns of dW) and sample. The first sample's
+    product lands in dW; the calling thread adds each later one in sample
+    order. A batched sum starts from 0 + p0, which differs from p0 only in
+    the sign of a zero, and ``_accumulate``'s 0 + g clears that. With one
+    output position a product is an outer product."""
     n, c = grid.shape[:2]
     k = int(np.prod(params.kernel))
+    rows, positions = lhs.shape[1:]
     origins = tuple(range(e) for e in windows)
-    dw = np.empty((lhs.shape[1], c * k), np.result_type(lhs, grid))
-    for ch in _blocks(c, n * k * lhs.shape[2], split=lhs.shape[1] > 1):
-        part = lhs @ _im2col(grid[:, ch], params, origins).transpose(0, 2, 1)
-        dw[:, ch.start * k:ch.stop * k] = part[0] if n == 1 else part.sum(axis=0)
+    dw = np.empty((rows, c * k), np.result_type(lhs, grid))
+    blocks = _blocks(c, n * k * positions, split=rows > 1)
+    widest = max(ch.stop - ch.start for ch in blocks) * k
+
+    def job(scratch, ch, i):
+        cols, part = scratch
+        cols = _im2col(grid[i:i + 1, ch], params, origins, cols)[0]
+        out = dw[:, ch.start * k:ch.stop * k] if i == 0 else \
+            part[:rows * cols.shape[0]].reshape(rows, -1)
+        if positions == 1:
+            np.multiply(lhs[i], cols.T, out=out)
+        else:
+            np.matmul(lhs[i], cols.T, out=out)
+
+    def done(scratch, ch, i):
+        if i > 0:
+            dw[:, ch.start * k:ch.stop * k] += \
+                scratch[1][:rows * (ch.stop - ch.start) * k].reshape(rows, -1)
+
+    _run(job, [(ch, i) for ch in blocks for i in range(n)],
+         [(widest * positions, grid.dtype), (rows * widest if n > 1 else 0, dw.dtype)],
+         done)
     _accumulate(weight, dw.reshape(weight.values.shape))
 
 

@@ -373,6 +373,29 @@ class TestMalformedMeta:
         assert not out.exists()
 
 
+class TestMistypedEcho:
+    """A CRC-valid checkpoint whose config echo holds a value of the wrong
+    type exits 2 naming the key, with no traceback."""
+
+    @pytest.mark.parametrize("key, value", [("width_multiplier", "x"), ("batch_size", 2.5),
+                                            ("seed", True), ("resolution", "64")])
+    @pytest.mark.parametrize("command", ["generate", "evaluate"])
+    def test_exit_2_without_traceback(self, workspace, tmp_path, capsys, command, key,
+                                      value):
+        bad = _with_echo(workspace["g2"], tmp_path / "bad.mdck", **{key: value})
+        inp = tmp_path / "in.ppm"
+        write_ppm(inp, np.zeros((64, 64, 3), np.uint8))
+        out = tmp_path / "out"
+        args = {"generate": ["generate", "--checkpoint", str(bad), "--frame", str(inp),
+                             "--out", str(out)],
+                "evaluate": ["evaluate", "--checkpoint", str(bad), "--n", "1",
+                             "--store", str(workspace["store"]), "--out", str(out)]}
+        assert main(args[command]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be a" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSplitArgs:
     """Split arguments are checked before any file of the store is written."""
 

@@ -98,6 +98,17 @@ class TestEcho:
         with pytest.raises(ConfigError):
             config_from_dict({"resolution": 64, "mystery": 1})
 
+    @pytest.mark.parametrize("key, value", [
+        ("width_multiplier", "x"), ("batch_size", 2.5), ("seed", True),
+        ("resolution", "64"), ("loss_reduction", 1), ("lr", None), ("lr", False)])
+    def test_mistyped_echo_names_key_and_value(self, key, value):
+        echo = {**RunConfig().as_dict(), key: value}
+        with pytest.raises(ConfigError, match=f"{key} must be a .*got {value!r}"):
+            config_from_dict(echo)
+
+    def test_int_echo_of_float_key_loads(self):
+        assert config_from_dict({**RunConfig().as_dict(), "lr": 1}).lr == 1
+
 
 class TestSurface:
     def test_fields_and_defaults_pinned(self):

@@ -1,11 +1,16 @@
+import sys
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import desk_config
 from lapsegan import ops, tensor as T
 from lapsegan.errors import ContractError, DimensionError
 from lapsegan.ops import BatchNormState, ConvParams
 from lapsegan.tensor import Tensor
+from lapsegan.training import train_stage1, train_stage2
 
 
 def t64(x, rg=False):
@@ -674,13 +679,13 @@ class TestColumnBlocksMatchWholeBuffer:
         blocks = []
         real_im2col, real_col2im = ops._im2col, ops._col2im
 
-        def im2col(grid, params, origins):
+        def im2col(grid, params, origins, *buffers):
             blocks.append(("gather", grid.shape[1], len(origins[0])))
-            return real_im2col(grid, params, origins)
+            return real_im2col(grid, params, origins, *buffers)
 
-        def col2im(cols, params, windows, out):
+        def col2im(cols, params, windows, out, *buffers):
             blocks.append(("scatter", out.shape[1], None))
-            return real_col2im(cols, params, windows, out)
+            return real_col2im(cols, params, windows, out, *buffers)
 
         monkeypatch.setattr(ops, "_im2col", im2col)
         monkeypatch.setattr(ops, "_col2im", col2im)
@@ -711,6 +716,99 @@ class TestColumnBlocksMatchWholeBuffer:
                 assert got.dtype == ref.dtype == np.float32 and got.shape == ref.shape
                 assert np.array_equal(got, ref), (params, c_in, c_out, spatial)
         assert all(split.values()), split
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Give ``ops`` a pool of the given number of workers; the pools made
+    here are shut down after the test."""
+    def set_workers(count):
+        if ops._pool is not None:
+            ops._pool.shutdown()
+        monkeypatch.setattr(ops, "_WORKERS", count)
+        monkeypatch.setattr(ops, "_pool", None)
+
+    monkeypatch.setattr(ops, "_pool", None)
+    yield set_workers
+    if ops._pool is not None:
+        ops._pool.shutdown()
+
+
+class TestConcurrentJobs:
+    """The jobs of one op run on more pool threads than there are cores,
+    with the interpreter switching threads as often as it can, and still give
+    bitwise the whole-buffer output and gradients; an error in a job raises
+    from the op; and training is bitwise the same whatever the pool size."""
+
+    def test_network_layers_batch_3(self, monkeypatch, pool_of):
+        pool_of(8)
+        monkeypatch.setattr(ops, "_BLOCK", 1 << 17)
+        real_run, jobs = ops._run, []
+
+        def run(job, tasks, *args):
+            jobs.append(len(tasks))
+            return real_run(job, tasks, *args)
+
+        monkeypatch.setattr(ops, "_run", run)
+        rng = np.random.default_rng(31)
+        interval, start = sys.getswitchinterval(), time.monotonic()
+        sys.setswitchinterval(1e-6)
+        try:
+            for params, c_in, c_out, spatial in _net_layers(64, 1 / 8):
+                transposed = params.transposed
+                wshape = ((c_in, c_out) if transposed else (c_out, c_in)) + tuple(params.kernel)
+                x, w, b = (rng.standard_normal(s).astype(np.float32)
+                           for s in ((3, c_in) + spatial, wshape, (c_out,)))
+                xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+                out = (ops.deconv3d if transposed else ops.conv3d)(xt, wt, bt, params)
+                g = rng.standard_normal(out.shape).astype(np.float32)
+                out._backward(g)
+                want = (whole_deconv3d if transposed else whole_conv3d)(x, w, b, params, g)
+                for got, ref in zip((out.values, xt.grad, wt.grad, bt.grad), want):
+                    assert np.array_equal(got, ref), (params, c_in, c_out, spatial)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.monotonic() - start < 60
+        assert len(jobs) == 3 * len(_net_layers(64, 1 / 8))
+        assert min(jobs) >= 3 and sum(j > 3 for j in jobs) >= len(jobs) // 2, jobs
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_job_error_raises_from_op(self, monkeypatch, pool_of, transposed):
+        pool_of(4)
+        name = "_col2im" if transposed else "_im2col"
+        real, calls = getattr(ops, name), []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("job failed")
+            return real(*args)
+
+        rng = np.random.default_rng(5)
+        wshape = ((3, 4) if transposed else (4, 3)) + (4, 4, 4)
+        args = [Tensor(rng.standard_normal(s).astype(np.float32))
+                for s in ((5, 3, 4, 8, 8), wshape, (4,))]
+        args.append(ConvParams(4, (4, 4, 4), (2, 2, 2), (1, 1, 1), transposed))
+        op = ops.deconv3d if transposed else ops.conv3d
+        want = op(*args).values
+        monkeypatch.setattr(ops, name, failing)
+        with pytest.raises(RuntimeError, match="job failed"):
+            op(*args)
+        assert len(calls) >= 3
+        monkeypatch.setattr(ops, name, real)  # the pool runs the next op as before
+        assert np.array_equal(op(*args).values, want)
+
+    def test_training_independent_of_pool_size(self, store64, tmp_path, pool_of):
+        runs = []
+        for workers in (1, 4):
+            pool_of(workers)
+            root = tmp_path / f"w{workers}"
+            ck1, _ = train_stage1(store64, desk_config(iterations=2), out_dir=root / "run1")
+            train_stage2(store64, desk_config(iterations=2), ck1, out_dir=root / "run2")
+            runs.append([(root / f).read_bytes() for f in (
+                "run1/losses.csv", "run1/stage1_final.mdck",
+                "run2/losses.csv", "run2/stage2_final.mdck")])
+        assert runs[0] == runs[1]
 
 
 class TestLeakyReluMask:
