@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .ops import BN_EPS, BN_MOMENTUM
 
 _CHOICES = {"resolution": (128, 64), "loss_reduction": ("mean", "sum"),
             "adv_form": ("saturating", "nonsaturating"),
@@ -18,16 +19,17 @@ _CHOICES = {"resolution": (128, 64), "loss_reduction": ("mean", "sum"),
 # (keys, test, what each must be); NaN fails every test
 _BOUNDS = (
     (("width_multiplier",), lambda v: 0.0 < v <= 1.0, "lie in (0,1]"),
-    (("lr", "adam_eps", "bn_eps"), lambda v: v > 0.0, "be > 0"),
+    (("lr", "adam_eps"), lambda v: v > 0.0, "be > 0"),
     (("beta1", "beta2"), lambda v: 0.0 <= v < 1.0, "lie in [0,1)"),
-    (("bn_momentum",), lambda v: 0.0 < v < 1.0, "lie in (0,1)"),
     (("lambda_rank", "seed"), lambda v: v >= 0, "be >= 0"),
     (("batch_size", "iterations", "checkpoint_every", "log_every"),
      lambda v: v >= 1, "be >= 1"),
 )
 
-# Keys that files written before 0.2.0 echo, with the one value still run.
-_RETIRED = {"gram_taps": "auto", "gram_batch_mean": False, "g2_init": "g1"}
+# Keys that files written before 0.2.0 (gram_*, g2_init) or 0.4.0 (bn_*)
+# echo, with the one value still run.
+_RETIRED = {"gram_taps": "auto", "gram_batch_mean": False, "g2_init": "g1",
+            "bn_eps": BN_EPS, "bn_momentum": BN_MOMENTUM}
 
 
 @dataclass
@@ -39,8 +41,6 @@ class RunConfig:
     beta1: float = 0.5
     beta2: float = 0.9          # the quoted momentum; 0.999 selectable
     adam_eps: float = 1e-8
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
     lambda_rank: float = 1.0
     loss_reduction: str = "mean"     # content L1: mean | sum
     adv_form: str = "saturating"     # generator loss: saturating | nonsaturating
@@ -63,6 +63,11 @@ class RunConfig:
 
     def as_dict(self):
         return asdict(self)
+
+    @property
+    def bn_eps(self):
+        """Batch norm's fixed epsilon, ``ops.BN_EPS``."""
+        return BN_EPS
 
     def tap_names(self, disc_spec):
         """The discriminator layers whose features feed the Gram descriptors."""
@@ -120,7 +125,7 @@ def load_config(path=None, overrides=None):
 def config_from_dict(d):
     """Rebuild a config echoed into an artifact (e.g. a checkpoint), which
     names every key, each holding a value of its field's type. A key retired
-    in 0.2.0 is dropped if it holds the value now fixed."""
+    in 0.2.0 or 0.4.0 is dropped if it holds the value now fixed."""
     for key, fixed in _RETIRED.items():
         if d.get(key, fixed) != fixed:
             raise ConfigError(f"{key} is retired and only {fixed!r} still runs, "

@@ -21,9 +21,8 @@ from itertools import takewhile
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .ops import (BN_EPS, BN_MOMENTUM, BatchNormState, ConvParams, activation,
-                  batchnorm3d, conv3d, conv_output_shape, deconv3d,
-                  deconv_output_shape)
+from .ops import (BatchNormState, ConvParams, activation, batchnorm3d, conv3d,
+                  conv_output_shape, deconv3d, deconv_output_shape)
 from .tensor import Tensor, _accumulate, clamp, recording
 
 log = logging.getLogger(__name__)
@@ -214,17 +213,15 @@ def duplicate_frame(x, t):
     return Tensor._from_op(out, (x,), backward, "duplicate_frame")
 
 
-def _bn_state(params, name, eps, momentum):
+def _bn_state(params, name):
     return BatchNormState(
         gamma=params.tensors[f"{name}.gamma"],
         beta=params.tensors[f"{name}.beta"],
         running_mean=params.buffers.get(f"{name}.running_mean"),
-        running_var=params.buffers.get(f"{name}.running_var"),
-        momentum=momentum, eps=eps)
+        running_var=params.buffers.get(f"{name}.running_var"))
 
 
-def _apply_layer(layer, params, x, mode, update_running, bn_eps, bn_momentum,
-                 frames=None):
+def _apply_layer(layer, params, x, mode, update_running, frames=None):
     """Conv or deconv, then batch norm and activation. With ``frames`` (see
     ``_short_clip``) the conv reads only those input frames and its
     [first, interior, last] output is repeated back to full length."""
@@ -239,15 +236,14 @@ def _apply_layer(layer, params, x, mode, update_running, bn_eps, bn_momentum,
         # then sum the same array, in the same order, as on the full path
         out = Tensor(np.repeat(out.values, (1, layer.out_shape[1] - 2, 1), axis=2))
     if layer.batch_norm:
-        out = batchnorm3d(out, _bn_state(params, layer.name, bn_eps, bn_momentum),
-                          mode, update_running=update_running)
+        out = batchnorm3d(out, _bn_state(params, layer.name), mode,
+                          update_running=update_running)
     if layer.activation is not None:
         out = activation(layer.activation, out)
     return out
 
 
-def forward_generator(spec, params, x, mode="train", update_running=True,
-                      bn_eps=BN_EPS, bn_momentum=BN_MOMENTUM):
+def forward_generator(spec, params, x, mode="train", update_running=True):
     """Run a generator over a static or stage-1 video (N,3,T,H,W).
 
     Skip additions happen on the decoder inputs. Returns the tanh-bounded
@@ -274,8 +270,7 @@ def forward_generator(spec, params, x, mode="train", update_running=True,
             cur = cur + cache[spec.skip_map[layer.name]]
         frames = _short_clip(layer, cur.shape[2], cur is x) if short else None
         short = frames is not None
-        cur = _apply_layer(layer, params, cur, mode, update_running,
-                           bn_eps, bn_momentum, frames)
+        cur = _apply_layer(layer, params, cur, mode, update_running, frames)
         cache[layer.name] = cur
     return cur
 
@@ -307,7 +302,7 @@ def _short_clip(layer, t_in, constant):
     return None
 
 
-def forward_discriminator(spec, params, video, bn_eps=BN_EPS):
+def forward_discriminator(spec, params, video):
     """Score a video and return the tapped post-activation features.
 
     Returns (score, features): score (N,1) strictly inside (0,1), features a
@@ -325,7 +320,7 @@ def forward_discriminator(spec, params, video, bn_eps=BN_EPS):
     cur = video
     features = {}
     for layer in spec.layers:
-        cur = _apply_layer(layer, params, cur, "train", False, bn_eps, BN_MOMENTUM)
+        cur = _apply_layer(layer, params, cur, "train", False)
         if layer.name in spec.taps:
             features[layer.name] = cur
     n = cur.shape[0]

@@ -448,8 +448,6 @@ class BatchNormState:
     beta: Tensor
     running_mean: np.ndarray | None = None
     running_var: np.ndarray | None = None
-    momentum: float = BN_MOMENTUM
-    eps: float = BN_EPS
 
     def __post_init__(self):
         c = self.gamma.shape[0]
@@ -457,16 +455,15 @@ class BatchNormState:
         if [getattr(a, "shape", None) for a in stats] not in ([(c,)] * 3, [(c,), None, None]):
             raise DimensionError("batch-norm state extents must all equal channel count, "
                                  "with both running statistics or neither")
-        if not 0.0 < self.momentum < 1.0:
-            raise ContractError("momentum must lie in (0,1)")
 
 
 def batchnorm3d(x, state, mode, update_running=True):
     """Per-channel batch normalization over the (N,T,H,W) axes.
 
     train mode normalizes with batch statistics (differentiable through
-    them) and, if ``update_running``, folds them into the running averages;
-    inference mode uses the stored running statistics.
+    them) and, if ``update_running``, folds them into the running averages
+    with weight ``BN_MOMENTUM``; inference mode uses the stored running
+    statistics. Either adds ``BN_EPS`` to the variance.
     """
     _check_volume(x, "batchnorm3d input")
     if mode not in ("train", "inference"):
@@ -487,10 +484,10 @@ def batchnorm3d(x, state, mode, update_running=True):
         mu = x.values.mean(axis=axes)
         centered = x.values - mu[None, :, None, None, None]
         var = np.mean(centered * centered, axis=axes)
-        inv_std = 1.0 / np.sqrt(var + x.values.dtype.type(state.eps))
+        inv_std = 1.0 / np.sqrt(var + x.values.dtype.type(BN_EPS))
         xhat = centered * inv_std[None, :, None, None, None]
         if update_running:
-            w = state.momentum
+            w = BN_MOMENTUM
             state.running_mean *= 1.0 - w
             state.running_mean += w * mu.astype(state.running_mean.dtype)
             state.running_var *= 1.0 - w
@@ -502,7 +499,7 @@ def batchnorm3d(x, state, mode, update_running=True):
             mean_dx = (dxhat * xhat).mean(axis=axes)[None, :, None, None, None]
             return (dxhat - mean_d - xhat * mean_dx) * inv_std[None, :, None, None, None]
     else:
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         xhat = ((x.values - state.running_mean[None, :, None, None, None])
                 * inv_std[None, :, None, None, None]).astype(x.values.dtype)
 

@@ -107,10 +107,6 @@ class Tensor:
         return (f"Tensor(shape={self.values.shape}, dtype={self.values.dtype}, "
                 f"requires_grad={self.requires_grad}, op={self._op!r})")
 
-    def detach(self):
-        """A view of the same values cut off from the recorded graph."""
-        return Tensor._from_op(self.values, (), None, "detach")
-
     # -- operator sugar ------------------------------------------------
 
     def __add__(self, other):

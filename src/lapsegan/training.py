@@ -417,10 +417,9 @@ def stage1_d_objective(nets, y, x, cfg):
     -mean[log D(Y) + log(1 - D(G1(X)))]; gradients flow only into D1."""
     g_spec, g_params, d_spec, d_params = nets
     with no_grad():
-        y1 = forward_generator(g_spec, g_params, x, bn_eps=cfg.bn_eps,
-                               bn_momentum=cfg.bn_momentum)
-    d_real, _ = forward_discriminator(d_spec, d_params, y, cfg.bn_eps)
-    d_fake, _ = forward_discriminator(d_spec, d_params, y1, cfg.bn_eps)
+        y1 = forward_generator(g_spec, g_params, x)
+    d_real, _ = forward_discriminator(d_spec, d_params, y)
+    d_fake, _ = forward_discriminator(d_spec, d_params, y1)
     loss_d = discriminator_adversarial(d_real, d_fake)
     return loss_d
 
@@ -430,9 +429,8 @@ def stage1_g_objective(nets, y, x, cfg):
     mean[log(1 - D(G1(X)))] + content. Returns (objective, adv_g, content)
     tensors; the discriminator's gradients are cleared before its next step."""
     g_spec, g_params, d_spec, d_params = nets
-    y1 = forward_generator(g_spec, g_params, x, bn_eps=cfg.bn_eps,
-                           bn_momentum=cfg.bn_momentum)
-    d_fake, _ = forward_discriminator(d_spec, d_params, y1, cfg.bn_eps)
+    y1 = forward_generator(g_spec, g_params, x)
+    d_fake, _ = forward_discriminator(d_spec, d_params, y1)
     adv_g = generator_adversarial(d_fake, cfg.adv_form)
     l_con = content_loss(y, y1, cfg.loss_reduction)
     return adv_g + l_con, adv_g, l_con
@@ -485,14 +483,13 @@ def stage2_d_objective(nets, y, x, cfg):
     mean[log D(Y) + log(1 - D(G2(Y1)))] + lambda * rank. Returns
     (objective, adv_loss_d, rank) tensors; gradients flow only into D2."""
     g1_spec, g1_params, g2_spec, g2_params, d_spec, d_params = nets
-    bn = dict(bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
     taps = cfg.tap_names(d_spec)
     with no_grad():
-        y1 = forward_generator(g1_spec, g1_params, x, update_running=False, **bn)
-        y2 = forward_generator(g2_spec, g2_params, y1, **bn)
-    d_real, feats_real = forward_discriminator(d_spec, d_params, y, cfg.bn_eps)
-    d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2, cfg.bn_eps)
-    _, feats_y1 = forward_discriminator(d_spec, d_params, y1, cfg.bn_eps)
+        y1 = forward_generator(g1_spec, g1_params, x, update_running=False)
+        y2 = forward_generator(g2_spec, g2_params, y1)
+    d_real, feats_real = forward_discriminator(d_spec, d_params, y)
+    d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2)
+    _, feats_y1 = forward_discriminator(d_spec, d_params, y1)
     loss_d = discriminator_adversarial(d_real, d_fake)
     rank = rank_loss_total(_gram_triples(taps, feats_y1, feats_y2, feats_real))
     objective = -loss_d + cfg.lambda_rank * rank
@@ -504,14 +501,13 @@ def stage2_g_objective(nets, y, x, cfg):
     mean[log(1 - D(G2(Y1)))] + lambda * rank + content. Returns
     (objective, adv_g, rank, content) tensors; gradients flow only into G2."""
     g1_spec, g1_params, g2_spec, g2_params, d_spec, d_params = nets
-    bn = dict(bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
     taps = cfg.tap_names(d_spec)
     with no_grad():
-        y1 = forward_generator(g1_spec, g1_params, x, update_running=False, **bn)
-        _, feats_real = forward_discriminator(d_spec, d_params, y, cfg.bn_eps)
-        _, feats_y1 = forward_discriminator(d_spec, d_params, y1, cfg.bn_eps)
-    y2 = forward_generator(g2_spec, g2_params, y1, **bn)
-    d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2, cfg.bn_eps)
+        y1 = forward_generator(g1_spec, g1_params, x, update_running=False)
+        _, feats_real = forward_discriminator(d_spec, d_params, y)
+        _, feats_y1 = forward_discriminator(d_spec, d_params, y1)
+    y2 = forward_generator(g2_spec, g2_params, y1)
+    d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2)
     adv_g = generator_adversarial(d_fake, cfg.adv_form)
     rank = rank_loss_total(_gram_triples(taps, feats_y1, feats_y2, feats_real))
     l_con = content_loss(y, y2, cfg.loss_reduction)
@@ -590,13 +586,13 @@ def generate_video(ckpt, first_frame):
             f"frame shape {first_frame.shape[1:]} does not match checkpoint "
             f"resolution {res}")
     mode = "inference" if cfg.generation_bn_mode == "running" else "train"
-    bn = dict(mode=mode, update_running=False,
-              bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
     with no_grad():
         x = duplicate_frame(first_frame, CLIP_FRAMES)
         g1_spec = build_generator(1, res, cfg.width_multiplier)
-        video = forward_generator(g1_spec, ckpt.params["g1"], x, **bn)
+        video = forward_generator(g1_spec, ckpt.params["g1"], x, mode,
+                                  update_running=False)
         if ckpt.stage == 2:
             g2_spec = build_generator(2, res, cfg.width_multiplier)
-            video = forward_generator(g2_spec, ckpt.params["g2"], video, **bn)
+            video = forward_generator(g2_spec, ckpt.params["g2"], video, mode,
+                                      update_running=False)
     return video

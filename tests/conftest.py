@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread per caller, set before numpy loads: ops runs its GEMMs on a
+# pool with one thread per CPU, and each would otherwise start BLAS threads
+# of its own.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from lapsegan.config import load_config

@@ -156,8 +156,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "-1"), ("--lr", "nan"), ("--lambda-rank", "-5"), ("--beta1", "1"),
-        ("--beta2", "1"), ("--adam-eps", "0"), ("--bn-eps", "-1"),
-        ("--bn-momentum", "1"), ("--seed", "-1")])
+        ("--beta2", "1"), ("--adam-eps", "0"), ("--seed", "-1")])
     def test_bad_numeric_key_exit_2_before_run_dir(self, workspace, tmp_path,
                                                    capsys, flag, value):
         out = tmp_path / "r"
@@ -264,17 +263,20 @@ def _with_meta(src, dst, edit):
 
 def _with_echo(src, dst, **keys):
     """Copy checkpoint ``src`` to ``dst`` with ``keys`` added to its config
-    echo, as files written before 0.2.0 carry them, and the CRC recomputed."""
+    echo, as files written before 0.2.0 or 0.4.0 carry them, and the CRC
+    recomputed."""
     return _with_meta(src, dst, lambda meta: {**meta, "config": {**meta["config"], **keys}})
 
 
-RETIRED_DEFAULTS = {"gram_taps": "auto", "gram_batch_mean": False, "g2_init": "g1"}
+RETIRED_DEFAULTS = {"gram_taps": "auto", "gram_batch_mean": False, "g2_init": "g1",
+                    "bn_eps": 1e-5, "bn_momentum": 0.1}
 
 
 class TestPre020Files:
     """Checkpoints written before 0.2.0 echo gram_taps, gram_batch_mean and
-    g2_init. At the values the program now runs they load, resume and
-    generate as if the keys were absent; any other value exits 2."""
+    g2_init, and those written before 0.4.0 echo bn_eps and bn_momentum. At
+    the values the program now runs they load, resume and generate as if the
+    keys were absent; any other value exits 2."""
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_loads_resumes_and_generates(self, workspace, tmp_path, stage):
@@ -308,7 +310,9 @@ class TestPre020Files:
 
     @pytest.mark.parametrize("key, value", [("gram_taps", "conv2,conv5"),
                                             ("g2_init", "fresh"),
-                                            ("gram_batch_mean", True)])
+                                            ("gram_batch_mean", True),
+                                            ("bn_eps", 0.001),
+                                            ("bn_momentum", 0.01)])
     def test_other_value_exit_2_naming_the_key(self, workspace, tmp_path, capsys,
                                                key, value):
         bad = _with_echo(workspace["g2"], tmp_path / "bad.mdck",
@@ -321,7 +325,7 @@ class TestPre020Files:
         assert main(["inspect", str(bad)]) == 0
         assert f"    {key} = {value}" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("key", ["gram_taps", "gram_batch_mean", "g2_init"])
+    @pytest.mark.parametrize("key", sorted(RETIRED_DEFAULTS))
     def test_retired_key_in_file_exit_2_as_flag_exit_1(self, workspace, tmp_path, key):
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"{key} = {RETIRED_DEFAULTS[key]}\n")

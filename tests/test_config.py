@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lapsegan import ops
 from lapsegan.config import RunConfig, config_from_dict, load_config, parse_config_file
 from lapsegan.errors import ConfigError
 from lapsegan.models import build_discriminator
@@ -30,8 +31,7 @@ class TestDefaults:
         ("iterations", -3), ("checkpoint_every", -4), ("log_every", -5),
         ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("beta1", 1.0), ("beta1", -0.5),
         ("beta2", 1.0), ("beta2", math.nan), ("adam_eps", 0.0), ("adam_eps", math.nan),
-        ("bn_eps", -1.0), ("bn_eps", 0.0), ("bn_momentum", 1.0), ("bn_momentum", 0.0),
-        ("bn_momentum", math.nan), ("lambda_rank", -5.0), ("lambda_rank", math.nan),
+        ("lambda_rank", -5.0), ("lambda_rank", math.nan),
         ("width_multiplier", math.nan), ("seed", -1)])
     def test_messages_name_the_bad_value(self, key, value):
         with pytest.raises(ConfigError, match=key) as err:
@@ -117,11 +117,17 @@ class TestSurface:
         assert RunConfig().as_dict() == {
             "resolution": 128, "width_multiplier": 1.0, "batch_size": 2,
             "lr": 2e-4, "beta1": 0.5, "beta2": 0.9, "adam_eps": 1e-8,
-            "bn_eps": 1e-5, "bn_momentum": 0.1, "lambda_rank": 1.0,
+            "lambda_rank": 1.0,
             "loss_reduction": "mean", "adv_form": "saturating",
             "generation_bn_mode": "running", "seed": 0, "iterations": 1000,
             "checkpoint_every": 500, "log_every": 1}
         assert not any(isinstance(v, bool) for v in RunConfig().as_dict().values())
+
+    def test_bn_eps_reads_the_constant(self):
+        """Batch norm's epsilon is no run key; the accessor reads ops.BN_EPS."""
+        assert RunConfig().bn_eps is ops.BN_EPS
+        with pytest.raises(TypeError):
+            RunConfig(bn_eps=1e-3)
 
 
 class TestTapResolution:

@@ -210,12 +210,6 @@ class TestBackward:
         combined = grad_of(lambda x: a * f(x) + b * g(x))
         assert_allclose(combined, a * grad_of(f) + b * grad_of(g), rtol=1e-12)
 
-    def test_detach_blocks_gradient(self):
-        x = f64([2.0], requires_grad=True)
-        y = x * 3.0
-        T.backward((y.detach() * x).sum())
-        assert_array_equal(x.grad, [6.0])  # only the direct factor
-
     def test_no_grad_suspends_tape(self):
         x = f64([2.0], requires_grad=True)
         with T.no_grad():

@@ -152,6 +152,11 @@ def add_rng_state(meta):
     meta["rng_state"] = {"bit_generator": "PCG64"}
 
 
+def add_bn_keys(meta):
+    """The batch-norm keys files before 0.4.0 echo in their config."""
+    meta["config"].update(bn_eps=1e-5, bn_momentum=0.1)
+
+
 def add_adam_copies(meta):
     """The Adam hyperparameters files before 0.3.0 carry per network."""
     cfg = desk_config()
@@ -208,9 +213,13 @@ class TestCheckpointIO:
 
     def test_file_bytes_pinned(self, tmp_path):
         """The streamed writer lays out the same bytes as the format always
-        had, less the Adam hyperparameter copies files before 0.3.0 carry."""
+        had, less the batch-norm keys files before 0.4.0 echo and the Adam
+        hyperparameter copies files before 0.3.0 carry."""
         p = tmp_path / "s.mdck"
         save_checkpoint(self.make_ckpt(), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "f19b398b32fb1064827b10820aa7e776efa5882c307eafab9949de71b8602f8f")
+        rewrite_meta(p, add_bn_keys)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
             "5582b95408c46b124a290fbe77113ee05372bceac1cd240c5381359763a8041d")
         rewrite_meta(p, add_adam_copies)
