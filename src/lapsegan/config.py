@@ -19,17 +19,20 @@ _CHOICES = {"resolution": (128, 64), "loss_reduction": ("mean", "sum"),
 # (keys, test, what each must be); NaN fails every test
 _BOUNDS = (
     (("width_multiplier",), lambda v: 0.0 < v <= 1.0, "lie in (0,1]"),
-    (("lr", "adam_eps"), lambda v: v > 0.0, "be > 0"),
-    (("beta1", "beta2"), lambda v: 0.0 <= v < 1.0, "lie in [0,1)"),
+    (("lr",), lambda v: v > 0.0, "be > 0"),
     (("lambda_rank", "seed"), lambda v: v >= 0, "be >= 0"),
     (("batch_size", "iterations", "checkpoint_every", "log_every"),
      lambda v: v >= 1, "be >= 1"),
 )
 
-# Keys that files written before 0.2.0 (gram_*, g2_init) or 0.4.0 (bn_*)
-# echo, with the one value still run.
+ADAM_BETA1 = 0.5  # Adam's fixed constants: the GAN momentum of Radford et al.
+ADAM_BETA2 = 0.9  # (arXiv:1511.06434), then the second-moment decay and epsilon
+ADAM_EPS = 1e-8   # of Kingma & Ba (arXiv:1412.6980)
+# Keys that files written before 0.2.0 (gram_*, g2_init), 0.4.0 (bn_*) or
+# 0.5.0 (Adam's) echo, with the one value still run.
 _RETIRED = {"gram_taps": "auto", "gram_batch_mean": False, "g2_init": "g1",
-            "bn_eps": BN_EPS, "bn_momentum": BN_MOMENTUM}
+            "bn_eps": BN_EPS, "bn_momentum": BN_MOMENTUM,
+            "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
 
 
 @dataclass
@@ -38,9 +41,6 @@ class RunConfig:
     width_multiplier: float = 1.0
     batch_size: int = 2
     lr: float = 2e-4            # fixed throughout training
-    beta1: float = 0.5
-    beta2: float = 0.9          # the quoted momentum; 0.999 selectable
-    adam_eps: float = 1e-8
     lambda_rank: float = 1.0
     loss_reduction: str = "mean"     # content L1: mean | sum
     adv_form: str = "saturating"     # generator loss: saturating | nonsaturating
@@ -125,7 +125,7 @@ def load_config(path=None, overrides=None):
 def config_from_dict(d):
     """Rebuild a config echoed into an artifact (e.g. a checkpoint), which
     names every key, each holding a value of its field's type. A key retired
-    in 0.2.0 or 0.4.0 is dropped if it holds the value now fixed."""
+    in 0.2.0, 0.4.0 or 0.5.0 is dropped if it holds the value now fixed."""
     for key, fixed in _RETIRED.items():
         if d.get(key, fixed) != fixed:
             raise ConfigError(f"{key} is retired and only {fixed!r} still runs, "

@@ -267,11 +267,12 @@ def forward_generator(spec, params, x, mode="train", update_running=True):
     cur = x
     for layer in spec.layers:
         if layer.name in spec.skip_map:
-            cur = cur + cache[spec.skip_map[layer.name]]
+            cur = cur + cache.pop(spec.skip_map[layer.name])
         frames = _short_clip(layer, cur.shape[2], cur is x) if short else None
         short = frames is not None
         cur = _apply_layer(layer, params, cur, mode, update_running, frames)
-        cache[layer.name] = cur
+        if layer.name in spec.skip_map.values():  # kept until its decoder reads it
+            cache[layer.name] = cur
     return cur
 
 

@@ -393,16 +393,12 @@ def conv3d(x, weight, bias, params):
     out = _correlate(w_mat, _phase_grid(x.values, params), params, out_spatial)
     out += bias.values[None, :, None]
     out = out.reshape((n, c_out) + out_spatial)
-    trains_weight = weight.requires_grad
 
     def backward(g):
         g_mat = g.reshape(n, c_out, -1)
         if bias.requires_grad:
             _accumulate(bias, g_mat.sum(axis=(0, 2)))
         if weight.requires_grad:
-            if not trains_weight:
-                raise ContractError("conv3d weight was frozen when the forward ran; "
-                                    "run the forward again")
             _weight_gradient(weight, g_mat, _phase_grid(x.values, params), params,
                              out_spatial)
         if x.requires_grad:

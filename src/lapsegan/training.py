@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_from_dict
+from .config import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, RunConfig, config_from_dict
 from .data import load_batch, records_sha256
 from .errors import ConfigError, IntegrityError, UnsupportedVersionError
 from .losses import (LossReport, content_loss, discriminator_adversarial,
@@ -63,7 +63,7 @@ _ADAM_CHUNK = 1 << 15  # elements per Adam chunk: ~6 arrays of it stay in L2
 
 
 def adam_step(params, grads, state, cfg):
-    """One bias-corrected Adam update by ``cfg``, in place on the parameter values.
+    """One bias-corrected Adam update at ``cfg.lr``, in place on the parameters.
 
     ``grads`` maps parameter names to arrays; parameters absent from it
     receive a zero gradient. A non-finite gradient aborts the update before
@@ -80,9 +80,8 @@ def adam_step(params, grads, state, cfg):
             raise TrainingDiverged(f"non-finite gradient for {name}")
         full[name] = g
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for name, tensor in params.tensors.items():
         m, v = state.m[name], state.v[name]
         chunks = np.nditer([full[name], m, v, tensor.values],
@@ -94,14 +93,14 @@ def adam_step(params, grads, state, cfg):
         with chunks:
             for g, mc, vc, pc in chunks:
                 step, denom = scratch[0, :g.size], scratch[1, :g.size]
-                mc *= b1
-                mc += np.multiply(g, 1.0 - b1, out=step)
-                vc *= b2
-                vc += np.multiply(np.multiply(g, g, out=denom), 1.0 - b2, out=denom)
+                mc *= ADAM_BETA1
+                mc += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+                vc *= ADAM_BETA2
+                vc += np.multiply(np.multiply(g, g, out=denom), 1.0 - ADAM_BETA2, out=denom)
                 np.divide(mc, m.dtype.type(c1), out=step)       # mhat
                 np.divide(vc, v.dtype.type(c2), out=denom)      # vhat
                 np.sqrt(denom, out=denom)
-                denom += cfg.adam_eps
+                denom += ADAM_EPS
                 step *= cfg.lr
                 step /= denom
                 pc -= step.astype(pc.dtype, copy=False)
@@ -420,8 +419,7 @@ def stage1_d_objective(nets, y, x, cfg):
         y1 = forward_generator(g_spec, g_params, x)
     d_real, _ = forward_discriminator(d_spec, d_params, y)
     d_fake, _ = forward_discriminator(d_spec, d_params, y1)
-    loss_d = discriminator_adversarial(d_real, d_fake)
-    return loss_d
+    return discriminator_adversarial(d_real, d_fake)
 
 
 def stage1_g_objective(nets, y, x, cfg):
@@ -515,11 +513,15 @@ def stage2_g_objective(nets, y, x, cfg):
     return objective, adv_g, rank, l_con
 
 
-def _fingerprint(ps):
-    """Name, dtype, shape and bytes of each tensor and buffer of a parameter set."""
-    arrays = [(k, t.values) for k, t in sorted(ps.tensors.items())]
-    return [(k, a.dtype.str, a.shape, a.tobytes())
-            for k, a in arrays + sorted(ps.buffers.items())]
+def _same_bits(ps, other):
+    """Whether two parameter sets hold the same names, dtypes, shapes and bits,
+    each pair compared in place: -0.0 is not 0.0, and NaN payloads count."""
+    mine, theirs = (([(k, t.values) for k, t in sorted(p.tensors.items())]
+                     + sorted(p.buffers.items())) for p in (ps, other))
+    return len(mine) == len(theirs) and all(
+        k == j and a.dtype == b.dtype
+        and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{a.itemsize}"))
+        for (k, a), (j, b) in zip(mine, theirs))
 
 
 def train_stage2(store, cfg, g1_checkpoint, out_dir=None, resume=None):
@@ -549,7 +551,7 @@ def train_stage2(store, cfg, g1_checkpoint, out_dir=None, resume=None):
     if resume is not None:
         _check_resume(resume, 2, cfg, train_sha)
         saved_g1 = resume.params.get("g1", ParameterSet())
-        if _fingerprint(saved_g1) != _fingerprint(g1_params):
+        if not _same_bits(saved_g1, g1_params):
             raise ConfigError("the stage-2 checkpoint was trained on a different "
                               "stage-1 generator than the one given")
         params, adam, start = resume.params, resume.adam, resume.iteration

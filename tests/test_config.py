@@ -3,7 +3,8 @@ import math
 import pytest
 
 from lapsegan import ops
-from lapsegan.config import RunConfig, config_from_dict, load_config, parse_config_file
+from lapsegan.config import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, RunConfig,
+                             config_from_dict, load_config, parse_config_file)
 from lapsegan.errors import ConfigError
 from lapsegan.models import build_discriminator
 
@@ -12,7 +13,7 @@ class TestDefaults:
     def test_paper_hyperparameters(self):
         cfg = RunConfig()
         assert cfg.lr == 2e-4
-        assert cfg.beta1 == 0.5 and cfg.beta2 == 0.9
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.5, 0.9, 1e-8)
         assert cfg.lambda_rank == 1.0
         assert cfg.resolution == 128
 
@@ -29,8 +30,7 @@ class TestDefaults:
         ("loss_reduction", "median"), ("adv_form", "wasserstein"),
         ("generation_bn_mode", "ema"),
         ("iterations", -3), ("checkpoint_every", -4), ("log_every", -5),
-        ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("beta1", 1.0), ("beta1", -0.5),
-        ("beta2", 1.0), ("beta2", math.nan), ("adam_eps", 0.0), ("adam_eps", math.nan),
+        ("lr", -1.0), ("lr", 0.0), ("lr", math.nan),
         ("lambda_rank", -5.0), ("lambda_rank", math.nan),
         ("width_multiplier", math.nan), ("seed", -1)])
     def test_messages_name_the_bad_value(self, key, value):
@@ -116,8 +116,7 @@ class TestSurface:
         is a deliberate edit of this table."""
         assert RunConfig().as_dict() == {
             "resolution": 128, "width_multiplier": 1.0, "batch_size": 2,
-            "lr": 2e-4, "beta1": 0.5, "beta2": 0.9, "adam_eps": 1e-8,
-            "lambda_rank": 1.0,
+            "lr": 2e-4, "lambda_rank": 1.0,
             "loss_reduction": "mean", "adv_form": "saturating",
             "generation_bn_mode": "running", "seed": 0, "iterations": 1000,
             "checkpoint_every": 500, "log_every": 1}

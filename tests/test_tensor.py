@@ -492,9 +492,14 @@ class TestConsumingBackward:
         assert_array_equal(xf.grad, x.grad)
         assert_array_equal(bf.grad, b.grad)
 
-    def test_weight_unfrozen_after_forward_raises(self):
-        x, w, b, p = conv_leaves(weight_trainable=False)
-        out = ops.conv3d(x, w, b, p).sum()
-        w.requires_grad = True
-        with pytest.raises(ContractError, match="frozen"):
-            T.backward(out)
+    def test_weight_unfrozen_after_forward_matches_trainable(self):
+        """The backward gathers dW's columns from the input it links to, so a
+        weight unfrozen after the forward gets the dW of a trainable one."""
+        x, w, b, p = conv_leaves()
+        T.backward(ops.conv3d(x, w, b, p).sum())
+        xf, wf, bf, _ = conv_leaves(weight_trainable=False)
+        out = ops.conv3d(xf, wf, bf, p).sum()
+        wf.requires_grad = True
+        T.backward(out)
+        for frozen, trained in ((wf, w), (xf, x), (bf, b)):
+            assert frozen.grad.tobytes() == trained.grad.tobytes()

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import desk_config
 from lapsegan import training
+from lapsegan.config import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from lapsegan.data import load_batch
 from lapsegan.errors import (ConfigError, ContractError, IntegrityError,
                              UnsupportedVersionError)
@@ -88,7 +89,7 @@ class TestAdam:
 def adam_reference(params, grads, state, cfg):
     """Adam as one expression per moment and update, allocating its temporaries."""
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     for name, tensor in params.tensors.items():
         g = grads.get(name, np.zeros_like(tensor.values))
@@ -99,7 +100,7 @@ def adam_reference(params, grads, state, cfg):
         v += (1.0 - b2) * (g * g)
         mhat = m / m.dtype.type(c1)
         vhat = v / v.dtype.type(c2)
-        tensor.values -= (cfg.lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)).astype(
+        tensor.values -= (cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(
             tensor.values.dtype)
 
 
@@ -157,11 +158,15 @@ def add_bn_keys(meta):
     meta["config"].update(bn_eps=1e-5, bn_momentum=0.1)
 
 
+def add_adam_keys(meta):
+    """The Adam keys files before 0.5.0 echo in their config."""
+    meta["config"].update(beta1=ADAM_BETA1, beta2=ADAM_BETA2, adam_eps=ADAM_EPS)
+
+
 def add_adam_copies(meta):
     """The Adam hyperparameters files before 0.3.0 carry per network."""
-    cfg = desk_config()
     for st in meta["adam"].values():
-        st.update(beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps, lr=cfg.lr)
+        st.update(beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS, lr=desk_config().lr)
 
 
 class TestCheckpointIO:
@@ -213,10 +218,14 @@ class TestCheckpointIO:
 
     def test_file_bytes_pinned(self, tmp_path):
         """The streamed writer lays out the same bytes as the format always
-        had, less the batch-norm keys files before 0.4.0 echo and the Adam
-        hyperparameter copies files before 0.3.0 carry."""
+        had, less the Adam keys files before 0.5.0 echo, the batch-norm keys
+        files before 0.4.0 echo and the Adam hyperparameter copies files
+        before 0.3.0 carry."""
         p = tmp_path / "s.mdck"
         save_checkpoint(self.make_ckpt(), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "cdbf697970559c0335e46042b4401a92112211e0637c016e54dfeee406ca2a9d")
+        rewrite_meta(p, add_adam_keys)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
             "f19b398b32fb1064827b10820aa7e776efa5882c307eafab9949de71b8602f8f")
         rewrite_meta(p, add_bn_keys)
@@ -508,6 +517,26 @@ class TestStage2:
         other, _ = train_stage1(store64, desk_config(iterations=1))
         with pytest.raises(ConfigError):
             train_stage2(store64, desk_config(iterations=2), other, resume=part)
+
+    @pytest.mark.parametrize("saved, given", [(0x00000000, 0x80000000),
+                                              (0x7FC00000, 0x7FC00001)],
+                             ids=["signed_zero", "nan_payload"])
+    def test_resume_with_g1_other_bits_rejected(self, store64, stage1_ckpt, saved,
+                                                given):
+        """G1 is compared by bits: 0.0 against -0.0, which compare equal, or
+        NaNs whose payloads differ, are a different G1."""
+        part, _ = train_stage2(store64, desk_config(iterations=1), stage1_ckpt)
+        g1s = []
+        for bits in (saved, given):
+            g1 = stage1_ckpt.params["g1"].clone()
+            g1.tensors["conv2.weight"].values.view(np.uint32).flat[5] = bits
+            g1s.append(g1)
+        assert np.array_equal(g1s[0].tensors["conv2.weight"].values,
+                              g1s[1].tensors["conv2.weight"].values, equal_nan=True)
+        resume = dataclasses.replace(part, params={**part.params, "g1": g1s[0]})
+        given_ckpt = dataclasses.replace(stage1_ckpt, params={"g1": g1s[1]})
+        with pytest.raises(ConfigError, match="different stage-1 generator"):
+            train_stage2(store64, desk_config(iterations=2), given_ckpt, resume=resume)
 
     @pytest.mark.parametrize("change", [dict(seed=1), dict(batch_size=1),
                                         dict(lambda_rank=0.5)])
