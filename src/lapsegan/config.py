@@ -12,9 +12,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .ops import BN_EPS, BN_MOMENTUM
 
-_CHOICES = {"resolution": (128, 64), "loss_reduction": ("mean", "sum"),
-            "adv_form": ("saturating", "nonsaturating"),
-            "generation_bn_mode": ("running", "batch")}
+_CHOICES = {"resolution": (128, 64), "generation_bn_mode": ("running", "batch")}
 
 # (keys, test, what each must be); NaN fails every test
 _BOUNDS = (
@@ -28,11 +26,12 @@ _BOUNDS = (
 ADAM_BETA1 = 0.5  # Adam's fixed constants: the GAN momentum of Radford et al.
 ADAM_BETA2 = 0.9  # (arXiv:1511.06434), then the second-moment decay and epsilon
 ADAM_EPS = 1e-8   # of Kingma & Ba (arXiv:1412.6980)
-# Keys that files written before 0.2.0 (gram_*, g2_init), 0.4.0 (bn_*) or
-# 0.5.0 (Adam's) echo, with the one value still run.
+# Keys that files written before 0.2.0 (gram_*, g2_init), 0.4.0 (bn_*),
+# 0.5.0 (Adam's) or 0.6.0 (the loss forms) echo, with the one value still run.
 _RETIRED = {"gram_taps": "auto", "gram_batch_mean": False, "g2_init": "g1",
             "bn_eps": BN_EPS, "bn_momentum": BN_MOMENTUM,
-            "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
+            "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
+            "adv_form": "saturating", "loss_reduction": "mean"}
 
 
 @dataclass
@@ -42,8 +41,6 @@ class RunConfig:
     batch_size: int = 2
     lr: float = 2e-4            # fixed throughout training
     lambda_rank: float = 1.0
-    loss_reduction: str = "mean"     # content L1: mean | sum
-    adv_form: str = "saturating"     # generator loss: saturating | nonsaturating
     generation_bn_mode: str = "running"  # running | batch statistics at generation
     seed: int = 0
     iterations: int = 1000
@@ -66,12 +63,9 @@ class RunConfig:
 
     @property
     def bn_eps(self):
-        """Batch norm's fixed epsilon, ``ops.BN_EPS``."""
+        """Batch norm's fixed epsilon, ``ops.BN_EPS``. Not a run key; it stays
+        because lapsebench's full-generate check and reference tests read it."""
         return BN_EPS
-
-    def tap_names(self, disc_spec):
-        """The discriminator layers whose features feed the Gram descriptors."""
-        return list(disc_spec.taps)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -125,7 +119,7 @@ def load_config(path=None, overrides=None):
 def config_from_dict(d):
     """Rebuild a config echoed into an artifact (e.g. a checkpoint), which
     names every key, each holding a value of its field's type. A key retired
-    in 0.2.0, 0.4.0 or 0.5.0 is dropped if it holds the value now fixed."""
+    in 0.2.0, 0.4.0, 0.5.0 or 0.6.0 is dropped if it holds the value now fixed."""
     for key, fixed in _RETIRED.items():
         if d.get(key, fixed) != fixed:
             raise ConfigError(f"{key} is retired and only {fixed!r} still runs, "

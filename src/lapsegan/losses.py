@@ -43,19 +43,14 @@ def _clamped_scores(scores, what):
     return scores
 
 
-def adversarial_terms(d_real, d_fake, form="saturating"):
-    """GAN losses from discriminator scores in (0,1).
-
-    loss_d = -mean[log d_real + log(1 - d_fake)]  (D minimizes this);
-    loss_g = mean[log(1 - d_fake)] in the saturating form, or
-    -mean[log d_fake] with form="nonsaturating".
-    """
-    if form not in ("saturating", "nonsaturating"):
-        raise ConfigError(f"unknown adversarial form {form!r}")
+def adversarial_terms(d_real, d_fake):
+    """GAN losses from discriminator scores in (0,1):
+    loss_d = -mean[log d_real + log(1 - d_fake)]  (D minimizes this) and the
+    saturating loss_g = mean[log(1 - d_fake)]."""
     d_real = _clamped_scores(d_real, "real")
     d_fake = _clamped_scores(d_fake, "fake")
     # both now lie in [eps, 1-eps]: neither term clamps nor warns again
-    return discriminator_adversarial(d_real, d_fake), generator_adversarial(d_fake, form)
+    return discriminator_adversarial(d_real, d_fake), generator_adversarial(d_fake)
 
 
 def discriminator_adversarial(d_real, d_fake):
@@ -66,27 +61,18 @@ def discriminator_adversarial(d_real, d_fake):
     return -(log(d_real).mean() + log(1.0 - d_fake).mean())
 
 
-def generator_adversarial(d_fake, form="saturating"):
-    """The generator's share of the adversarial loss, for phases where the
-    real-clip scores are not computed."""
-    if form not in ("saturating", "nonsaturating"):
-        raise ConfigError(f"unknown adversarial form {form!r}")
-    d_fake = _clamped_scores(d_fake, "fake")
-    if form == "saturating":
-        return log(1.0 - d_fake).mean()
-    return -log(d_fake).mean()
+def generator_adversarial(d_fake):
+    """The generator's share of the adversarial loss, mean[log(1 - d_fake)],
+    for phases where the real-clip scores are not computed."""
+    return log(1.0 - _clamped_scores(d_fake, "fake")).mean()
 
 
-def content_loss(y, y_hat, reduction="mean"):
-    """L1 distance between videos; mean per element by default so the scale
-    is resolution-independent (reduction="sum" selects the literal sum)."""
+def content_loss(y, y_hat):
+    """L1 distance between videos, the mean per element so the scale is
+    resolution-independent."""
     if y.shape != y_hat.shape:
         raise DimensionError(f"content loss shapes differ: {y.shape} vs {y_hat.shape}")
-    if reduction == "mean":
-        return abs_(y - y_hat).mean()
-    if reduction == "sum":
-        return abs_(y - y_hat).sum()
-    raise ConfigError(f"unknown reduction {reduction!r}")
+    return abs_(y - y_hat).mean()
 
 
 @dataclass

@@ -429,8 +429,8 @@ def stage1_g_objective(nets, y, x, cfg):
     g_spec, g_params, d_spec, d_params = nets
     y1 = forward_generator(g_spec, g_params, x)
     d_fake, _ = forward_discriminator(d_spec, d_params, y1)
-    adv_g = generator_adversarial(d_fake, cfg.adv_form)
-    l_con = content_loss(y, y1, cfg.loss_reduction)
+    adv_g = generator_adversarial(d_fake)
+    l_con = content_loss(y, y1)
     return adv_g + l_con, adv_g, l_con
 
 
@@ -481,7 +481,6 @@ def stage2_d_objective(nets, y, x, cfg):
     mean[log D(Y) + log(1 - D(G2(Y1)))] + lambda * rank. Returns
     (objective, adv_loss_d, rank) tensors; gradients flow only into D2."""
     g1_spec, g1_params, g2_spec, g2_params, d_spec, d_params = nets
-    taps = cfg.tap_names(d_spec)
     with no_grad():
         y1 = forward_generator(g1_spec, g1_params, x, update_running=False)
         y2 = forward_generator(g2_spec, g2_params, y1)
@@ -489,7 +488,7 @@ def stage2_d_objective(nets, y, x, cfg):
     d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2)
     _, feats_y1 = forward_discriminator(d_spec, d_params, y1)
     loss_d = discriminator_adversarial(d_real, d_fake)
-    rank = rank_loss_total(_gram_triples(taps, feats_y1, feats_y2, feats_real))
+    rank = rank_loss_total(_gram_triples(d_spec.taps, feats_y1, feats_y2, feats_real))
     objective = -loss_d + cfg.lambda_rank * rank
     return objective, loss_d, rank
 
@@ -499,16 +498,15 @@ def stage2_g_objective(nets, y, x, cfg):
     mean[log(1 - D(G2(Y1)))] + lambda * rank + content. Returns
     (objective, adv_g, rank, content) tensors; gradients flow only into G2."""
     g1_spec, g1_params, g2_spec, g2_params, d_spec, d_params = nets
-    taps = cfg.tap_names(d_spec)
     with no_grad():
         y1 = forward_generator(g1_spec, g1_params, x, update_running=False)
         _, feats_real = forward_discriminator(d_spec, d_params, y)
         _, feats_y1 = forward_discriminator(d_spec, d_params, y1)
     y2 = forward_generator(g2_spec, g2_params, y1)
     d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2)
-    adv_g = generator_adversarial(d_fake, cfg.adv_form)
-    rank = rank_loss_total(_gram_triples(taps, feats_y1, feats_y2, feats_real))
-    l_con = content_loss(y, y2, cfg.loss_reduction)
+    adv_g = generator_adversarial(d_fake)
+    rank = rank_loss_total(_gram_triples(d_spec.taps, feats_y1, feats_y2, feats_real))
+    l_con = content_loss(y, y2)
     objective = adv_g + cfg.lambda_rank * rank + l_con
     return objective, adv_g, rank, l_con
 

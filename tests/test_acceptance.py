@@ -171,7 +171,6 @@ def test_criterion_02_gradient_suite():
     check("composite/D(G(x))", composite, Tensor(x0, dtype=np.float64),
           tol=1e-4, floor=1e-3, sample=5, rng=np.random.default_rng(1))
 
-    cfg = desk_config()
     y_real = Tensor(rng.uniform(-0.9, 0.9, (1, 3, 32, 64, 64)), dtype=np.float64)
     y1_in = Tensor(rng.uniform(-0.9, 0.9, (1, 3, 32, 64, 64)), dtype=np.float64)
     bias_name = "conv4.bias"
@@ -183,9 +182,8 @@ def test_criterion_02_gradient_suite():
         with T.no_grad():
             _, feats_real = forward_discriminator(d_spec, dp64, y_real)
             _, feats_y1 = forward_discriminator(d_spec, dp64, y1_in)
-        taps = cfg.tap_names(d_spec)
         triples = [(gram(a, n), gram(b, n), gram(c, n)) for n, a, b, c
-                   in zip(taps, feats_y1, feats_y2, feats_real)]
+                   in zip(d_spec.taps, feats_y1, feats_y2, feats_real)]
         return (losses.generator_adversarial(d_fake)
                 + rank_loss_total(triples) + content_loss(y_real, y2))
 

@@ -262,22 +262,24 @@ def _with_meta(src, dst, edit):
 
 def _with_echo(src, dst, **keys):
     """Copy checkpoint ``src`` to ``dst`` with ``keys`` added to its config
-    echo, as files written before 0.2.0, 0.4.0 or 0.5.0 carry them, and the
-    CRC recomputed."""
+    echo, as files written before 0.2.0, 0.4.0, 0.5.0 or 0.6.0 carry them,
+    and the CRC recomputed."""
     return _with_meta(src, dst, lambda meta: {**meta, "config": {**meta["config"], **keys}})
 
 
 RETIRED_DEFAULTS = {"gram_taps": "auto", "gram_batch_mean": False, "g2_init": "g1",
                     "bn_eps": 1e-5, "bn_momentum": 0.1,
-                    "beta1": 0.5, "beta2": 0.9, "adam_eps": 1e-8}
+                    "beta1": 0.5, "beta2": 0.9, "adam_eps": 1e-8,
+                    "adv_form": "saturating", "loss_reduction": "mean"}
 
 
 class TestPre020Files:
     """Checkpoints written before 0.2.0 echo gram_taps, gram_batch_mean and
-    g2_init, those written before 0.4.0 echo bn_eps and bn_momentum, and
-    those written before 0.5.0 echo beta1, beta2 and adam_eps. At the values
-    the program now runs they load, resume and generate as if the keys were
-    absent; any other value exits 2."""
+    g2_init, those written before 0.4.0 echo bn_eps and bn_momentum, those
+    written before 0.5.0 echo beta1, beta2 and adam_eps, and those written
+    before 0.6.0 echo adv_form and loss_reduction. At the values the program
+    now runs they load, resume and generate as if the keys were absent; any
+    other value exits 2."""
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_loads_resumes_and_generates(self, workspace, tmp_path, stage):
@@ -316,7 +318,9 @@ class TestPre020Files:
                                             ("bn_momentum", 0.01),
                                             ("beta1", 0.9),
                                             ("beta2", 0.999),
-                                            ("adam_eps", 1e-6)])
+                                            ("adam_eps", 1e-6),
+                                            ("adv_form", "nonsaturating"),
+                                            ("loss_reduction", "sum")])
     def test_other_value_exit_2_naming_the_key(self, workspace, tmp_path, capsys,
                                                key, value):
         bad = _with_echo(workspace["g2"], tmp_path / "bad.mdck",
@@ -326,6 +330,10 @@ class TestPre020Files:
         assert main(["generate", "--checkpoint", str(bad),
                      "--frame", str(inp), "--out", str(tmp_path / "g")]) == 2
         assert key in capsys.readouterr().err
+        assert main(["evaluate", "--checkpoint", str(bad), "--store", str(workspace["store"]),
+                     "--n", "1", "--seed", "1", "--out", str(tmp_path / "e.csv")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "g").exists() and not (tmp_path / "e.csv").exists()
         assert main(["inspect", str(bad)]) == 0
         assert f"    {key} = {value}" in capsys.readouterr().out
 

@@ -1,12 +1,12 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from lapsegan import ops
+from lapsegan import config, ops
 from lapsegan.config import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, RunConfig,
                              config_from_dict, load_config, parse_config_file)
 from lapsegan.errors import ConfigError
-from lapsegan.models import build_discriminator
 
 
 class TestDefaults:
@@ -22,12 +22,9 @@ class TestDefaults:
             RunConfig(resolution=96).validate()
         with pytest.raises(ConfigError):
             RunConfig(width_multiplier=1.5).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(loss_reduction="median").validate()
 
     @pytest.mark.parametrize("key, value", [
         ("resolution", 96), ("width_multiplier", 1.5), ("batch_size", 0),
-        ("loss_reduction", "median"), ("adv_form", "wasserstein"),
         ("generation_bn_mode", "ema"),
         ("iterations", -3), ("checkpoint_every", -4), ("log_every", -5),
         ("lr", -1.0), ("lr", 0.0), ("lr", math.nan),
@@ -100,7 +97,7 @@ class TestEcho:
 
     @pytest.mark.parametrize("key, value", [
         ("width_multiplier", "x"), ("batch_size", 2.5), ("seed", True),
-        ("resolution", "64"), ("loss_reduction", 1), ("lr", None), ("lr", False)])
+        ("resolution", "64"), ("generation_bn_mode", 1), ("lr", None), ("lr", False)])
     def test_mistyped_echo_names_key_and_value(self, key, value):
         echo = {**RunConfig().as_dict(), key: value}
         with pytest.raises(ConfigError, match=f"{key} must be a .*got {value!r}"):
@@ -116,10 +113,8 @@ class TestSurface:
         is a deliberate edit of this table."""
         assert RunConfig().as_dict() == {
             "resolution": 128, "width_multiplier": 1.0, "batch_size": 2,
-            "lr": 2e-4, "lambda_rank": 1.0,
-            "loss_reduction": "mean", "adv_form": "saturating",
-            "generation_bn_mode": "running", "seed": 0, "iterations": 1000,
-            "checkpoint_every": 500, "log_every": 1}
+            "lr": 2e-4, "lambda_rank": 1.0, "generation_bn_mode": "running",
+            "seed": 0, "iterations": 1000, "checkpoint_every": 500, "log_every": 1}
         assert not any(isinstance(v, bool) for v in RunConfig().as_dict().values())
 
     def test_bn_eps_reads_the_constant(self):
@@ -128,9 +123,8 @@ class TestSurface:
         with pytest.raises(TypeError):
             RunConfig(bn_eps=1e-3)
 
-
-class TestTapResolution:
-    def test_auto_follows_discriminator(self):
-        cfg = RunConfig()
-        assert cfg.tap_names(build_discriminator(128)) == ["conv1", "conv3"]
-        assert cfg.tap_names(build_discriminator(64)) == ["conv2", "conv4"]
+    def test_readme_names_every_key(self):
+        """The README documents every run key and every retired one."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        keys = [*RunConfig().as_dict(), *config._RETIRED]
+        assert [k for k in keys if f"`{k}`" not in readme] == []

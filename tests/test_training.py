@@ -158,6 +158,11 @@ def add_bn_keys(meta):
     meta["config"].update(bn_eps=1e-5, bn_momentum=0.1)
 
 
+def add_loss_keys(meta):
+    """The loss-form keys files before 0.6.0 echo in their config."""
+    meta["config"].update(adv_form="saturating", loss_reduction="mean")
+
+
 def add_adam_keys(meta):
     """The Adam keys files before 0.5.0 echo in their config."""
     meta["config"].update(beta1=ADAM_BETA1, beta2=ADAM_BETA2, adam_eps=ADAM_EPS)
@@ -218,11 +223,14 @@ class TestCheckpointIO:
 
     def test_file_bytes_pinned(self, tmp_path):
         """The streamed writer lays out the same bytes as the format always
-        had, less the Adam keys files before 0.5.0 echo, the batch-norm keys
-        files before 0.4.0 echo and the Adam hyperparameter copies files
-        before 0.3.0 carry."""
+        had, less the loss-form keys files before 0.6.0 echo, the Adam keys
+        files before 0.5.0 echo, the batch-norm keys files before 0.4.0 echo
+        and the Adam hyperparameter copies files before 0.3.0 carry."""
         p = tmp_path / "s.mdck"
         save_checkpoint(self.make_ckpt(), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "ef514d955f1976cf0e080ff47928b8344190eb107644fd30814bcf7a7577b605")
+        rewrite_meta(p, add_loss_keys)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
             "cdbf697970559c0335e46042b4401a92112211e0637c016e54dfeee406ca2a9d")
         rewrite_meta(p, add_adam_keys)
