@@ -6,7 +6,7 @@ motion-ranking losses, training loops, a frame-clip data pipeline, and the
 MSE/PSNR/SSIM evaluation harness. Entry point: the ``lapsegan`` CLI.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .tensor import Tensor, backward, grad_check, no_grad
 

@@ -18,6 +18,7 @@ from . import __version__
 from .config import RunConfig, load_config
 from .errors import (ConfigError, ContractError, DimensionError, DomainError,
                      IntegrityError)
+from .models import RESOLUTIONS
 from .tensor import Tensor
 
 EXIT_OK = 0
@@ -62,7 +63,7 @@ def build_parser():
     p = sub.add_parser("ingest", parents=[], help="cut frame directories into a clip store")
     p.add_argument("--frames-root", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--resolution", type=int, choices=(128, 64), default=128)
+    p.add_argument("--resolution", type=int, choices=RESOLUTIONS, default=128)
     p.add_argument("--test-fraction", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
 
@@ -71,7 +72,7 @@ def build_parser():
     p.add_argument("--n-sources", type=int, default=8)
     p.add_argument("--frames-per-source", type=int, default=64)
     p.add_argument("--velocity", type=float, default=1.0)
-    p.add_argument("--resolution", type=int, choices=(128, 64), default=64)
+    p.add_argument("--resolution", type=int, choices=RESOLUTIONS, default=64)
     p.add_argument("--test-fraction", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=0)
 
@@ -103,7 +104,7 @@ def build_parser():
     p = sub.add_parser("inspect", help="describe a spec, store, or checkpoint")
     p.add_argument("target", help="'spec', a store directory, or a checkpoint file")
     p.add_argument("--stage", type=int, choices=(1, 2), default=1)
-    p.add_argument("--resolution", type=int, choices=(128, 64), default=128)
+    p.add_argument("--resolution", type=int, choices=RESOLUTIONS, default=128)
     p.add_argument("--width-multiplier", type=float, default=1.0)
     return parser
 

@@ -6,19 +6,22 @@ its artifacts alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .models import RESOLUTIONS
 from .ops import BN_EPS, BN_MOMENTUM
 
-_CHOICES = {"resolution": (128, 64), "generation_bn_mode": ("running", "batch")}
+_CHOICES = {"resolution": RESOLUTIONS, "generation_bn_mode": ("running", "batch")}
 
 # (keys, test, what each must be); NaN fails every test
 _BOUNDS = (
     (("width_multiplier",), lambda v: 0.0 < v <= 1.0, "lie in (0,1]"),
-    (("lr",), lambda v: v > 0.0, "be > 0"),
-    (("lambda_rank", "seed"), lambda v: v >= 0, "be >= 0"),
+    (("lr",), lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0"),
+    (("lambda_rank",), lambda v: math.isfinite(v) and v >= 0.0, "be finite and >= 0"),
+    (("seed",), lambda v: v >= 0, "be >= 0"),
     (("batch_size", "iterations", "checkpoint_every", "log_every"),
      lambda v: v >= 1, "be >= 1"),
 )

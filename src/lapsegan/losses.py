@@ -11,7 +11,7 @@ as softplus(d_plus - d_minus), the numerically stable form of
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,27 +43,17 @@ def _clamped_scores(scores, what):
     return scores
 
 
-def adversarial_terms(d_real, d_fake):
-    """GAN losses from discriminator scores in (0,1):
-    loss_d = -mean[log d_real + log(1 - d_fake)]  (D minimizes this) and the
-    saturating loss_g = mean[log(1 - d_fake)]."""
-    d_real = _clamped_scores(d_real, "real")
-    d_fake = _clamped_scores(d_fake, "fake")
-    # both now lie in [eps, 1-eps]: neither term clamps nor warns again
-    return discriminator_adversarial(d_real, d_fake), generator_adversarial(d_fake)
-
-
 def discriminator_adversarial(d_real, d_fake):
-    """The discriminator's share of the adversarial loss,
-    -mean[log d_real + log(1 - d_fake)], for phases that train only D."""
+    """The discriminator's adversarial loss from scores in (0,1),
+    -mean[log d_real + log(1 - d_fake)]."""
     d_real = _clamped_scores(d_real, "real")
     d_fake = _clamped_scores(d_fake, "fake")
     return -(log(d_real).mean() + log(1.0 - d_fake).mean())
 
 
 def generator_adversarial(d_fake):
-    """The generator's share of the adversarial loss, mean[log(1 - d_fake)],
-    for phases where the real-clip scores are not computed."""
+    """The generator's saturating adversarial loss from fake-clip scores in
+    (0,1), mean[log(1 - d_fake)]."""
     return log(1.0 - _clamped_scores(d_fake, "fake")).mean()
 
 
@@ -144,53 +134,28 @@ def rank_loss_total(taps):
     return total
 
 
-@dataclass
+@dataclass(kw_only=True)
 class LossReport:
-    """Scalar loss terms for one iteration, as written to the loss CSV."""
+    """Scalar loss terms for one iteration, as written to the loss CSV. The
+    totals follow from the parts: the generator descends
+    adv_g + lam*rank + content, and the discriminator, which ascends the rank
+    term, descends adv_d - lam*rank. Stage 1 has no rank term."""
 
     iteration: int
     adv_d: float
     adv_g: float
     content: float
-    rank: float
-    total_g: float
-    total_d: float
+    rank: float = 0.0
+    total_g: float = field(init=False)
+    total_d: float = field(init=False)
     lam: float
 
     CSV_HEADER = "iter,adv_d,adv_g,content,rank,total_g,total_d"
 
+    def __post_init__(self):
+        self.total_g = self.adv_g + self.lam * self.rank + self.content
+        self.total_d = self.adv_d - self.lam * self.rank
+
     def csv_row(self):
         return (f"{self.iteration},{self.adv_d!r},{self.adv_g!r},{self.content!r},"
                 f"{self.rank!r},{self.total_g!r},{self.total_d!r}")
-
-    def check_totals(self, rel=1e-6):
-        """Totals must reproduce the weighted sum of their parts."""
-        g = self.adv_g + self.lam * self.rank + self.content
-        d = self.adv_d - self.lam * self.rank
-        for got, want in ((self.total_g, g), (self.total_d, d)):
-            if abs(got - want) > rel * max(1.0, abs(want)):
-                raise ContractError(f"loss total {got!r} != sum of parts {want!r}")
-
-
-def _scalar(x):
-    return float(x.item()) if isinstance(x, Tensor) else float(x)
-
-
-def stage1_objective(adv_d, adv_g, content, iteration=0):
-    """Stage-1 totals: generator = adversarial + content, discriminator =
-    the adversarial discriminator term."""
-    adv_d, adv_g, content = _scalar(adv_d), _scalar(adv_g), _scalar(content)
-    return LossReport(iteration=iteration, adv_d=adv_d, adv_g=adv_g,
-                      content=content, rank=0.0,
-                      total_g=adv_g + content, total_d=adv_d, lam=0.0)
-
-
-def stage2_objective(adv_d, adv_g, content, rank, lam=1.0, iteration=0):
-    """Stage-2 totals: generator = adversarial + lam*rank + content; the
-    discriminator ascends the rank term, so its minimized loss subtracts it."""
-    adv_d, adv_g = _scalar(adv_d), _scalar(adv_g)
-    content, rank = _scalar(content), _scalar(rank)
-    return LossReport(iteration=iteration, adv_d=adv_d, adv_g=adv_g,
-                      content=content, rank=rank,
-                      total_g=adv_g + lam * rank + content,
-                      total_d=adv_d - lam * rank, lam=lam)

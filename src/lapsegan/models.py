@@ -28,6 +28,7 @@ from .tensor import Tensor, _accumulate, clamp, recording
 log = logging.getLogger(__name__)
 
 CLIP_FRAMES = 32  # temporal extent of every video the networks see
+RESOLUTIONS = (128, 64)  # frame sizes the networks are built for
 
 # (name, filters, kernel, stride, padding) for the 128-resolution generator.
 # deconv1's temporal kernel extent is 2 (not the nominal 4): the bottleneck
@@ -96,8 +97,9 @@ def _scale_width(base, width_multiplier):
 
 
 def _check_resolution(resolution):
-    if resolution not in (128, 64):
-        raise ConfigError(f"resolution must be 128 or 64, got {resolution}")
+    if resolution not in RESOLUTIONS:
+        raise ConfigError(f"resolution must be {' or '.join(map(str, RESOLUTIONS))}, "
+                          f"got {resolution}")
 
 
 def _check_width(width_multiplier):

@@ -19,6 +19,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,7 @@ from .config import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, RunConfig, config_from_dic
 from .data import load_batch, records_sha256
 from .errors import ConfigError, IntegrityError, UnsupportedVersionError
 from .losses import (LossReport, content_loss, discriminator_adversarial,
-                     generator_adversarial, gram, rank_loss_total,
-                     stage2_objective)
+                     generator_adversarial, gram, rank_loss_total)
 from .models import (CLIP_FRAMES, build_discriminator, build_generator,
                      duplicate_frame, forward_discriminator, forward_generator)
 from .ops import ParameterSet, init_parameters
@@ -334,7 +334,6 @@ class _RunWriter:
             self.csv = open(path, "a")
 
     def report(self, rep):
-        rep.check_totals()
         if self.csv is not None:
             self.csv.write(rep.csv_row() + "\n")
             self.csv.flush()
@@ -354,15 +353,14 @@ class _RunWriter:
             self.csv.close()
 
 
-def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, lam,
-               train_sha):
+def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, train_sha):
     """Iterations ``start`` .. ``cfg.iterations`` of the alternating schedule.
 
     ``phases`` holds the discriminator, then the generator phase, as (network,
-    objective); ``objective(y, x)`` returns the loss that network descends,
-    then its report terms: adv_d, then adv_g, rank and content. Each phase
-    draws its own batch, and while it runs the other phase's network does not
-    require grad, so backward computes no gradient that Adam would discard.
+    objective); ``objective(y, x)`` returns the loss that network descends and
+    a dict of its ``LossReport`` terms. Each phase draws its own batch, and
+    while it runs the other phase's network does not require grad, so
+    backward computes no gradient that Adam would discard.
     Checkpoints record ``train_sha``, the hash of the store's train split.
     Returns (final Checkpoint, list of LossReports).
     """
@@ -370,7 +368,7 @@ def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, lam,
     reports, ckpt = [], None
     try:
         for it in range(start, cfg.iterations):
-            terms = []
+            terms = {}
             for k, (net, objective) in enumerate(phases):
                 frozen = [t for other, _ in phases if other != net
                           for t in params[other].tensors.values()]
@@ -379,7 +377,7 @@ def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, lam,
                 try:
                     y, x = load_batch(store, "train", cfg.batch_size, cfg.seed,
                                       2 * it + k)
-                    loss, *parts = objective(y, x)
+                    loss, phase_terms = objective(y, x)
                     if not np.all(np.isfinite(loss.values)):
                         raise TrainingDiverged(f"non-finite loss for {net}")
                     backward(loss)
@@ -391,11 +389,9 @@ def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, lam,
                         t.requires_grad = True
                 for other, _ in phases:
                     params[other].zero_grad()
-                terms += [t.item() if isinstance(t, Tensor) else t for t in parts]
-                del loss, parts, grads  # free this phase's tape before the next forward
-            adv_d, adv_g, rank, content = terms
-            rep = stage2_objective(adv_d, adv_g, content, rank, lam=lam,
-                                   iteration=it + 1)
+                terms.update(phase_terms)
+                del loss, grads  # free this phase's tape before the next forward
+            rep = LossReport(iteration=it + 1, lam=cfg.lambda_rank, **terms)
             reports.append(rep)
             writer.report(rep)
             ckpt = Checkpoint(stage=stage, iteration=it + 1, config=cfg.as_dict(),
@@ -411,27 +407,29 @@ def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, lam,
 # -- stage 1 ------------------------------------------------------------------
 
 
-def stage1_d_objective(nets, y, x, cfg):
+def stage1_d_objective(nets, y, x):
     """The discriminator's loss on one batch,
-    -mean[log D(Y) + log(1 - D(G1(X)))]; gradients flow only into D1."""
+    -mean[log D(Y) + log(1 - D(G1(X)))], and its report term adv_d;
+    gradients flow only into D1."""
     g_spec, g_params, d_spec, d_params = nets
     with no_grad():
         y1 = forward_generator(g_spec, g_params, x)
     d_real, _ = forward_discriminator(d_spec, d_params, y)
     d_fake, _ = forward_discriminator(d_spec, d_params, y1)
-    return discriminator_adversarial(d_real, d_fake)
+    loss_d = discriminator_adversarial(d_real, d_fake)
+    return loss_d, {"adv_d": loss_d.item()}
 
 
-def stage1_g_objective(nets, y, x, cfg):
-    """The generator's descent objective on one batch:
-    mean[log(1 - D(G1(X)))] + content. Returns (objective, adv_g, content)
-    tensors; the discriminator's gradients are cleared before its next step."""
+def stage1_g_objective(nets, y, x):
+    """The generator's descent objective on one batch,
+    mean[log(1 - D(G1(X)))] + content, and its report terms adv_g and
+    content; the discriminator's gradients are cleared before its next step."""
     g_spec, g_params, d_spec, d_params = nets
     y1 = forward_generator(g_spec, g_params, x)
     d_fake, _ = forward_discriminator(d_spec, d_params, y1)
     adv_g = generator_adversarial(d_fake)
     l_con = content_loss(y, y1)
-    return adv_g + l_con, adv_g, l_con
+    return adv_g + l_con, {"adv_g": adv_g.item(), "content": l_con.item()}
 
 
 def train_stage1(store, cfg, out_dir=None, resume=None):
@@ -455,17 +453,9 @@ def train_stage1(store, cfg, out_dir=None, resume=None):
         adam = {net: AdamState.fresh(ps) for net, ps in params.items()}
         start = 0
     nets = (g_spec, params["g1"], d_spec, params["d1"])
-
-    def d_phase(y, x):
-        loss_d = stage1_d_objective(nets, y, x, cfg)
-        return loss_d, loss_d
-
-    def g_phase(y, x):
-        objective, adv_g, l_con = stage1_g_objective(nets, y, x, cfg)
-        return objective, adv_g, 0.0, l_con
-
-    return _alternate(store, cfg, out_dir, 1, start, params, adam,
-                      (("d1", d_phase), ("g1", g_phase)), 0.0, train_sha)
+    phases = (("d1", partial(stage1_d_objective, nets)),
+              ("g1", partial(stage1_g_objective, nets)))
+    return _alternate(store, cfg, out_dir, 1, start, params, adam, phases, train_sha)
 
 
 # -- stage 2 ------------------------------------------------------------------
@@ -476,10 +466,11 @@ def _gram_triples(taps, feats_y1, feats_y2, feats_real):
             for name, f1, f2, fr in zip(taps, feats_y1, feats_y2, feats_real)]
 
 
-def stage2_d_objective(nets, y, x, cfg):
-    """The discriminator's ascent objective on one batch:
-    mean[log D(Y) + log(1 - D(G2(Y1)))] + lambda * rank. Returns
-    (objective, adv_loss_d, rank) tensors; gradients flow only into D2."""
+def stage2_d_objective(nets, y, x, lam):
+    """The discriminator's descent form of its ascent objective
+    mean[log D(Y) + log(1 - D(G2(Y1)))] + lam * rank on one batch, that is
+    loss_d - lam * rank, and its report term adv_d = loss_d; gradients flow
+    only into D2."""
     g1_spec, g1_params, g2_spec, g2_params, d_spec, d_params = nets
     with no_grad():
         y1 = forward_generator(g1_spec, g1_params, x, update_running=False)
@@ -489,14 +480,13 @@ def stage2_d_objective(nets, y, x, cfg):
     _, feats_y1 = forward_discriminator(d_spec, d_params, y1)
     loss_d = discriminator_adversarial(d_real, d_fake)
     rank = rank_loss_total(_gram_triples(d_spec.taps, feats_y1, feats_y2, feats_real))
-    objective = -loss_d + cfg.lambda_rank * rank
-    return objective, loss_d, rank
+    return loss_d - lam * rank, {"adv_d": loss_d.item()}
 
 
-def stage2_g_objective(nets, y, x, cfg):
-    """The generator's descent objective on one batch:
-    mean[log(1 - D(G2(Y1)))] + lambda * rank + content. Returns
-    (objective, adv_g, rank, content) tensors; gradients flow only into G2."""
+def stage2_g_objective(nets, y, x, lam):
+    """The generator's descent objective on one batch,
+    mean[log(1 - D(G2(Y1)))] + lam * rank + content, and its report terms
+    adv_g, rank and content; gradients flow only into G2."""
     g1_spec, g1_params, g2_spec, g2_params, d_spec, d_params = nets
     with no_grad():
         y1 = forward_generator(g1_spec, g1_params, x, update_running=False)
@@ -507,8 +497,8 @@ def stage2_g_objective(nets, y, x, cfg):
     adv_g = generator_adversarial(d_fake)
     rank = rank_loss_total(_gram_triples(d_spec.taps, feats_y1, feats_y2, feats_real))
     l_con = content_loss(y, y2)
-    objective = adv_g + cfg.lambda_rank * rank + l_con
-    return objective, adv_g, rank, l_con
+    return adv_g + lam * rank + l_con, {"adv_g": adv_g.item(), "rank": rank.item(),
+                                        "content": l_con.item()}
 
 
 def _same_bits(ps, other):
@@ -560,17 +550,9 @@ def train_stage2(store, cfg, g1_checkpoint, out_dir=None, resume=None):
         adam = {net: AdamState.fresh(params[net]) for net in ("g2", "d2")}
         start = 0
     nets = (g1_spec, params["g1"], g2_spec, params["g2"], d_spec, params["d2"])
-
-    def d_phase(y, x):
-        objective, loss_d, _ = stage2_d_objective(nets, y, x, cfg)
-        return -objective, loss_d
-
-    def g_phase(y, x):
-        return stage2_g_objective(nets, y, x, cfg)
-
-    return _alternate(store, cfg, out_dir, 2, start, params, adam,
-                      (("d2", d_phase), ("g2", g_phase)), cfg.lambda_rank,
-                      train_sha)
+    phases = (("d2", partial(stage2_d_objective, nets, lam=cfg.lambda_rank)),
+              ("g2", partial(stage2_g_objective, nets, lam=cfg.lambda_rank)))
+    return _alternate(store, cfg, out_dir, 2, start, params, adam, phases, train_sha)
 
 
 # -- generation ---------------------------------------------------------------

@@ -20,9 +20,9 @@ from lapsegan.data import (ClipStore, denormalize_pixels, ingest,
                            normalize_pixels, read_manifest, read_ppm,
                            split_store, synth_frame_dirs)
 from lapsegan.errors import DimensionError
-from lapsegan.losses import (GramDescriptor, adversarial_terms, content_loss,
-                             gram, rank_loss_layer, rank_loss_total,
-                             stage1_objective, stage2_objective)
+from lapsegan.losses import (GramDescriptor, LossReport, content_loss,
+                             discriminator_adversarial, generator_adversarial,
+                             gram, rank_loss_layer, rank_loss_total)
 from lapsegan.models import (_SKIPS_STAGE1, _assemble, _generator_rows,
                              build_discriminator, build_generator,
                              forward_discriminator, forward_generator)
@@ -140,8 +140,8 @@ def test_criterion_02_gradient_suite():
     # losses
     d_real = t64(rng.uniform(0.2, 0.8, (3, 1)))
     d_fake0 = rng.uniform(0.2, 0.8, (3, 1))
-    check("adv/d_fake", lambda v: adversarial_terms(d_real, v)[0], t64(d_fake0))
-    check("adv/loss_g", lambda v: adversarial_terms(d_real, v)[1], t64(d_fake0))
+    check("adv/d_fake", lambda v: discriminator_adversarial(d_real, v), t64(d_fake0))
+    check("adv/loss_g", generator_adversarial, t64(d_fake0))
     yt = t64(rng.standard_normal((1, 3, 2, 2, 2)))
     check("content", lambda v: content_loss(yt, v),
           t64(rng.standard_normal((1, 3, 2, 2, 2)) + 3.0))
@@ -197,7 +197,7 @@ def test_criterion_02_gradient_suite():
 
 def test_criterion_03_loss_identities():
     half = t64(np.full((2, 1), 0.5))
-    loss_d, _ = adversarial_terms(half, t64(np.full((2, 1), 0.5)))
+    loss_d = discriminator_adversarial(half, t64(np.full((2, 1), 0.5)))
     assert abs(loss_d.item() - 2.0 * LN2) < 1e-9
 
     rng = np.random.default_rng(3)
@@ -214,8 +214,8 @@ def test_criterion_03_loss_identities():
     mk = lambda v: GramDescriptor(t64([[v]]), "l")
     assert abs(rank_loss_layer(mk(0.7), mk(0.0), mk(0.7)).item() - LN2) < 1e-9
 
-    r2 = stage2_objective(1.25, -0.5, 0.3, rank=7.7, lam=0.0, iteration=1)
-    r1 = stage1_objective(1.25, -0.5, 0.3, iteration=1)
+    r2 = LossReport(iteration=1, adv_d=1.25, adv_g=-0.5, content=0.3, rank=7.7, lam=0.0)
+    r1 = LossReport(iteration=1, adv_d=1.25, adv_g=-0.5, content=0.3, lam=1.0)
     assert r2.total_g == r1.total_g and r2.total_d == r1.total_d
     ok(3, "adversarial 2·ln2 identity, stable-vs-naive ranking equality, "
           "ln2 tie case, and weight-zero degeneration all hold")
@@ -264,6 +264,7 @@ def smoke_run(tmp_path_factory):
             "ck1": ck1, "reps1": reps1, "ck2": ck2, "reps2": reps2}
 
 
+@pytest.mark.slow
 def test_criterion_06_overfit_smoke(smoke_run):
     reps1, reps2 = smoke_run["reps1"], smoke_run["reps2"]
     c_first = reps1[0].content
@@ -362,6 +363,7 @@ def test_criterion_08_metric_oracles(tmp_path, store64, stage1_ckpt):
           "eval CSV row consistency all hold")
 
 
+@pytest.mark.slow
 def test_criterion_09_determinism(tmp_path):
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")

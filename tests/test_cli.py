@@ -155,7 +155,8 @@ class TestTrain:
                               "--g1-checkpoint", str(bad)]) == 3
 
     @pytest.mark.parametrize("flag, value", [
-        ("--lr", "-1"), ("--lr", "nan"), ("--lambda-rank", "-5"), ("--seed", "-1")])
+        ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf"), ("--lambda-rank", "-5"),
+        ("--lambda-rank", "inf"), ("--seed", "-1")])
     def test_bad_numeric_key_exit_2_before_run_dir(self, workspace, tmp_path,
                                                    capsys, flag, value):
         out = tmp_path / "r"

@@ -27,8 +27,8 @@ class TestDefaults:
         ("resolution", 96), ("width_multiplier", 1.5), ("batch_size", 0),
         ("generation_bn_mode", "ema"),
         ("iterations", -3), ("checkpoint_every", -4), ("log_every", -5),
-        ("lr", -1.0), ("lr", 0.0), ("lr", math.nan),
-        ("lambda_rank", -5.0), ("lambda_rank", math.nan),
+        ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
+        ("lambda_rank", -5.0), ("lambda_rank", math.nan), ("lambda_rank", math.inf),
         ("width_multiplier", math.nan), ("seed", -1)])
     def test_messages_name_the_bad_value(self, key, value):
         with pytest.raises(ConfigError, match=key) as err:

@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose
 
 from lapsegan import losses, tensor as T
 from lapsegan.errors import ConfigError, ContractError, DimensionError
-from lapsegan.losses import (GramDescriptor, adversarial_terms, content_loss,
-                             gram, rank_loss_layer, rank_loss_total, softplus,
-                             stage1_objective, stage2_objective)
+from lapsegan.losses import (GramDescriptor, LossReport, content_loss,
+                             discriminator_adversarial, generator_adversarial,
+                             gram, rank_loss_layer, rank_loss_total, softplus)
 from lapsegan.tensor import Tensor
 
 LN2 = math.log(2.0)
@@ -30,17 +30,19 @@ def desc(matrix, layer="l1"):
 
 class TestAdversarial:
     def test_half_scores_give_two_ln_two(self):
-        loss_d, loss_g = adversarial_terms(scores(0.5, 0.5), scores(0.5, 0.5))
+        loss_d = discriminator_adversarial(scores(0.5, 0.5), scores(0.5, 0.5))
+        loss_g = generator_adversarial(scores(0.5, 0.5))
         assert abs(loss_d.item() - 2.0 * LN2) < 1e-9
         assert abs(loss_g.item() - math.log(0.5)) < 1e-9
 
     def test_perfect_discriminator_loss_vanishes(self):
-        loss_d, _ = adversarial_terms(scores(1.0 - 1e-9), scores(1e-9))
+        loss_d = discriminator_adversarial(scores(1.0 - 1e-9), scores(1e-9))
         assert 0.0 <= loss_d.item() < 1e-5
 
     def test_saturated_scores_clamped_not_infinite(self, caplog):
         with caplog.at_level("WARNING"):
-            loss_d, loss_g = adversarial_terms(scores(1.0), scores(0.0))
+            loss_d = discriminator_adversarial(scores(1.0), scores(0.0))
+            loss_g = generator_adversarial(scores(1.0))
         assert np.isfinite(loss_d.item()) and np.isfinite(loss_g.item())
         assert any("clamping" in r.message for r in caplog.records)
 
@@ -52,22 +54,25 @@ class TestAdversarial:
             return T.clamp(*args)
 
         monkeypatch.setattr(losses, "clamp", counting_clamp)
-        with caplog.at_level("WARNING", logger="lapsegan.losses"):
-            loss_d, loss_g = adversarial_terms(scores(0.5), scores(0.0))
-        assert [r.message for r in caplog.records] == [
-            f"fake scores saturated outside [{losses.SCORE_EPS:g}, "
-            f"1-{losses.SCORE_EPS:g}]; clamping"]
-        assert len(clamps) == 1
-        assert np.isfinite(loss_d.item()) and np.isfinite(loss_g.item())
+        for loss_of in (lambda d_fake: discriminator_adversarial(scores(0.5), d_fake),
+                        generator_adversarial):
+            caplog.clear()
+            clamps.clear()
+            with caplog.at_level("WARNING", logger="lapsegan.losses"):
+                loss = loss_of(scores(0.0))
+            assert [r.message for r in caplog.records] == [
+                f"fake scores saturated outside [{losses.SCORE_EPS:g}, "
+                f"1-{losses.SCORE_EPS:g}]; clamping"]
+            assert len(clamps) == 1
+            assert np.isfinite(loss.item())
 
     def test_generator_gradient_matches_finite_differences(self):
-        err = T.grad_check(
-            lambda d: adversarial_terms(scores(0.7), d)[1], scores(0.5))
+        err = T.grad_check(generator_adversarial, scores(0.5))
         assert err < 1e-6
         # analytic slope of mean log(1-d) at d=0.5 is -1/(1-0.5) = -2
         d = Tensor(np.array([[0.5]]), dtype=np.float64)
         d.requires_grad = True
-        T.backward(adversarial_terms(scores(0.7), d)[1])
+        T.backward(generator_adversarial(d))
         assert_allclose(d.grad, [[-2.0]], rtol=1e-12)
 
 
@@ -236,32 +241,29 @@ class TestRankTotal:
         assert T.grad_check(f, f2) < 1e-5
 
 
-class TestObjectives:
-    def test_lambda_zero_reduces_to_stage1(self):
-        r2 = stage2_objective(1.2, -0.6, 0.3, rank=5.0, lam=0.0, iteration=3)
-        r1 = stage1_objective(1.2, -0.6, 0.3, iteration=3)
-        assert r2.total_g == r1.total_g and r2.total_d == r1.total_d
-
+class TestLossReport:
     def test_totals_are_sum_of_parts(self):
-        r = stage2_objective(1.5, -0.7, 0.25, rank=0.69, lam=1.0)
-        assert abs(r.total_g - (-0.7 + 0.69 + 0.25)) < 1e-12
-        assert abs(r.total_d - (1.5 - 0.69)) < 1e-12
-        r.check_totals()
-        r.total_g += 1.0
-        with pytest.raises(ContractError):
-            r.check_totals()
+        r = LossReport(iteration=1, adv_d=1.5, adv_g=-0.7, content=0.25,
+                       rank=0.69, lam=1.0)
+        assert r.total_g == -0.7 + 1.0 * 0.69 + 0.25
+        assert r.total_d == 1.5 - 1.0 * 0.69
+        r = LossReport(iteration=1, adv_d=1.5, adv_g=-0.7, content=0.25,
+                       rank=0.69, lam=0.5)
+        assert r.total_g == -0.7 + 0.5 * 0.69 + 0.25
+        assert r.total_d == 1.5 - 0.5 * 0.69
 
-    def test_lambda_one_default(self):
-        r = stage2_objective(1.0, -1.0, 0.5, rank=0.7)
-        assert r.lam == 1.0
-        assert abs(r.total_g - (-1.0 + 0.7 + 0.5)) < 1e-12
-
-    def test_accepts_tensors(self):
-        r = stage1_objective(t64(1.0), t64(-0.5), t64(0.25), iteration=1)
-        assert r.total_g == -0.25
+    def test_rank_zero_totals_same_at_any_lam(self):
+        """A report without a rank term, as stage 1 writes, has the totals of
+        weight zero whatever its weight, bit for bit."""
+        r0, r1 = (LossReport(iteration=3, adv_d=1.2, adv_g=-0.6, content=0.3, lam=lam)
+                  for lam in (0.0, 1.0))
+        assert r0.rank == r1.rank == 0.0
+        assert (r0.total_g, r0.total_d) == (r1.total_g, r1.total_d) == (-0.6 + 0.3, 1.2)
+        assert r0.csv_row() == r1.csv_row()
 
     def test_csv_row_shape(self):
-        r = stage2_objective(1.0, -1.0, 0.5, rank=0.7, iteration=9)
+        r = LossReport(iteration=9, adv_d=1.0, adv_g=-1.0, content=0.5, rank=0.7,
+                       lam=1.0)
         row = r.csv_row()
         assert row.startswith("9,") and row.count(",") == 6
         assert r.CSV_HEADER.count(",") == 6

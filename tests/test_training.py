@@ -14,11 +14,14 @@ from lapsegan.config import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from lapsegan.data import load_batch
 from lapsegan.errors import (ConfigError, ContractError, IntegrityError,
                              UnsupportedVersionError)
-from lapsegan.ops import ParameterSet
+from lapsegan.losses import LossReport
+from lapsegan.models import build_discriminator, build_generator
+from lapsegan.ops import ParameterSet, init_parameters
 from lapsegan.tensor import Tensor, backward
 from lapsegan.training import (AdamState, Checkpoint, TrainingDiverged,
                                adam_step, generate_video, load_checkpoint,
-                               save_checkpoint, stage2_d_objective,
+                               save_checkpoint, stage1_d_objective,
+                               stage1_g_objective, stage2_d_objective,
                                stage2_g_objective, train_stage1, train_stage2)
 
 
@@ -332,7 +335,8 @@ class TestStage1:
         for rep in reports:
             assert np.isfinite([rep.adv_d, rep.adv_g, rep.content]).all()
             assert rep.rank == 0.0
-            rep.check_totals()
+            assert rep.total_g == rep.adv_g + rep.content
+            assert rep.total_d == rep.adv_d
 
     def test_alternation_order(self, store64, monkeypatch):
         calls = []
@@ -488,7 +492,9 @@ class TestStage2:
             assert_array_equal(t.values, before[k])
         for rep in reports:
             assert np.isfinite([rep.adv_d, rep.adv_g, rep.content, rep.rank]).all()
-            rep.check_totals()
+            assert rep.lam == 1.0
+            assert rep.total_g == rep.adv_g + rep.lam * rep.rank + rep.content
+            assert rep.total_d == rep.adv_d - rep.lam * rep.rank
 
     def test_leaves_caller_g1_trainable(self, store64, tmp_path):
         ck1, _ = train_stage1(store64, desk_config(iterations=2))
@@ -556,8 +562,6 @@ class TestStage2:
 
     def test_gradient_flow_isolation(self, store64, stage1_ckpt):
         cfg = desk_config()
-        from lapsegan.models import build_discriminator, build_generator
-        from lapsegan.ops import init_parameters
         g1p = stage1_ckpt.params["g1"]
         for t in g1p.tensors.values():
             t.requires_grad = False
@@ -568,14 +572,14 @@ class TestStage2:
                 build_discriminator(64, 0.125), d2p)
         y, x = load_batch(store64, "train", 2, seed=1)
 
-        obj, _, _ = stage2_d_objective(nets, y, x, cfg)
-        backward(-obj)
+        loss_d, _ = stage2_d_objective(nets, y, x, cfg.lambda_rank)
+        backward(loss_d)
         assert all(t.grad is not None for t in d2p.tensors.values())
         assert all(t.grad is None for t in g2p.tensors.values())
         d2p.zero_grad()
 
-        total, _, _, _ = stage2_g_objective(nets, y, x, cfg)
-        backward(total)
+        loss_g, _ = stage2_g_objective(nets, y, x, cfg.lambda_rank)
+        backward(loss_g)
         assert all(t.grad is not None for t in g2p.tensors.values())
         assert all(t.grad is None for t in g1p.tensors.values())
 
@@ -598,6 +602,28 @@ class TestStage2:
     def test_geometry_mismatch_rejected(self, store64, stage1_ckpt):
         with pytest.raises(ConfigError):
             train_stage2(store64, desk_config(width_multiplier=0.25), stage1_ckpt)
+
+
+class TestObjectiveContract:
+    def test_losses_are_report_totals(self, store64, stage1_ckpt):
+        """On one batch, the loss each phase descends is the total its report
+        terms give: the discriminator's total_d and the generator's total_g,
+        in both stages and at either rank weight. This pins the sign of the
+        rank term in the discriminator's descent loss."""
+        g1p, d1p = (stage1_ckpt.params[net].clone() for net in ("g1", "d1"))
+        d_spec = build_discriminator(64, 0.125)
+        stage1 = (build_generator(1, 64, 0.125), g1p, d_spec, d1p)
+        stage2 = (build_generator(1, 64, 0.125), g1p, build_generator(2, 64, 0.125),
+                  g1p.clone(), d_spec, init_parameters(d_spec, 5))
+        y, x = load_batch(store64, "train", 2, seed=1)
+        for lam in (0.0, 1.0):
+            for (loss_d, d_terms), (loss_g, g_terms) in (
+                    (stage1_d_objective(stage1, y, x), stage1_g_objective(stage1, y, x)),
+                    (stage2_d_objective(stage2, y, x, lam),
+                     stage2_g_objective(stage2, y, x, lam))):
+                rep = LossReport(iteration=1, lam=lam, **d_terms, **g_terms)
+                assert_allclose(loss_d.item(), rep.total_d, rtol=1e-5, atol=1e-6)
+                assert_allclose(loss_g.item(), rep.total_g, rtol=1e-5, atol=1e-6)
 
 
 class TestLossTrajectory:
@@ -633,8 +659,6 @@ class TestLossTrajectory:
 def direction_probe(store, stage1_ckpt, seed, step=1e-4):
     """Probe that one Adam step moves each objective the contracted way:
     uphill for the discriminator, downhill for the generator."""
-    from lapsegan.models import build_discriminator, build_generator
-    from lapsegan.ops import init_parameters
     cfg = desk_config(seed=seed)
     g1p = stage1_ckpt.params["g1"]
     for t in g1p.tensors.values():
@@ -661,8 +685,9 @@ def direction_probe(store, stage1_ckpt, seed, step=1e-4):
         params.zero_grad()
         return before, after
 
-    d_obj = lambda: stage2_d_objective(nets, y, x, cfg)[0]
-    g_obj = lambda: stage2_g_objective(nets, y, x, cfg)[0]
+    # the discriminator's ascent objective is the negated loss it descends
+    d_obj = lambda: -stage2_d_objective(nets, y, x, cfg.lambda_rank)[0]
+    g_obj = lambda: stage2_g_objective(nets, y, x, cfg.lambda_rank)[0]
     d_before, d_after = probe(d2p, d_obj, sign=-1.0)   # Adam minimizes -objective
     g_before, g_after = probe(g2p, g_obj, sign=1.0)
     return {"d_ascends": d_after > d_before, "g_descends": g_after < g_before,
