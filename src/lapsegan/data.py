@@ -207,8 +207,8 @@ def ingest(frame_root, out_store, target_resolution):
     non-overlapping 32-frame clips resized to ``target_resolution`` squared.
 
     Returns the list of manifest records. Sources with unreadable or
-    inconsistent frames are skipped with a logged diagnostic; ingesting
-    nothing usable is an error.
+    inconsistent frames are skipped with a logged diagnostic; fewer than
+    2 usable sources, too few to split, is an error and writes no manifest.
     """
     frame_root = Path(frame_root)
     out_store = Path(out_store)
@@ -244,8 +244,8 @@ def ingest(frame_root, out_store, target_resolution):
             records.append(ClipRecord(source_id=src.name, clip_index=ci,
                                       file=fname, split="train",
                                       h=target_resolution, w=target_resolution))
-    if not records:
-        raise ConfigError(f"no usable sources under {frame_root}")
+    if len({r.source_id for r in records}) < 2:
+        raise ConfigError(f"fewer than 2 usable sources under {frame_root}")
     write_manifest(out_store, records)
     return records
 

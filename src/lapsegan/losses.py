@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .tensor import Tensor, abs_, clamp, exp, log, log1p, matmul_batched
+from .tensor import abs_, clamp, exp, log, log1p, matmul_batched
 
 logger = logging.getLogger(__name__)
 
@@ -60,21 +60,11 @@ def generator_adversarial(d_fake):
 def content_loss(y, y_hat):
     """L1 distance between videos, the mean per element so the scale is
     resolution-independent."""
-    if y.shape != y_hat.shape:
-        raise DimensionError(f"content loss shapes differ: {y.shape} vs {y_hat.shape}")
     return abs_(y - y_hat).mean()
 
 
-@dataclass
-class GramDescriptor:
-    """Motion descriptor: (M,M) covariance of reshaped features, M = C*T."""
-
-    matrix: Tensor
-    layer_id: str
-
-
-def gram(features, layer_id=""):
-    """Gram matrix of discriminator features (N,C,T,H,W).
+def gram(features):
+    """The (M,M) motion descriptor of discriminator features (N,C,T,H,W).
 
     Reshapes to (N, M, S) with M = C*T and S = H*W, then sums h h^T over the
     batch and scales by 1/(M*S) — the batch-sum form, so its scale follows
@@ -89,7 +79,7 @@ def gram(features, layer_id=""):
     scale = 1.0 / (m * s)
     matrix = prod.sum(axes=0) * scale
     _assert_symmetric(matrix.values)
-    return GramDescriptor(matrix=matrix, layer_id=layer_id)
+    return matrix
 
 
 def _assert_symmetric(g, rel=1e-6):
@@ -99,31 +89,20 @@ def _assert_symmetric(g, rel=1e-6):
         raise ContractError(f"gram matrix asymmetric: skew {skew:g} vs peak {peak:g}")
 
 
-def gram_distance(a, b):
-    """Entrywise L1 distance between two descriptors (summed, unnormalized)."""
-    return abs_(a.matrix - b.matrix).sum()
-
-
 def rank_loss_layer(g1, g2, g):
     """Contrastive ranking loss for one feature layer.
 
-    Arguments are the descriptors of the stage-1 video, the refined video,
-    and the real video. With d_plus = ||g2 - g||_1 and d_minus = ||g2 - g1||_1,
-    the loss is softplus(d_plus - d_minus): small when the refined video
-    sits closer to the real one than to its stage-1 input.
+    Arguments are the Gram matrices of the stage-1 video, the refined video,
+    and the real video. With the entrywise L1 distances d_plus = ||g2 - g||_1
+    and d_minus = ||g2 - g1||_1, the loss is softplus(d_plus - d_minus):
+    small when the refined video sits closer to the real one than to its
+    stage-1 input.
     """
-    if not (g1.layer_id == g2.layer_id == g.layer_id):
-        raise ContractError(
-            f"descriptor layer mismatch: {g1.layer_id!r}, {g2.layer_id!r}, {g.layer_id!r}")
-    if not (g1.matrix.shape == g2.matrix.shape == g.matrix.shape):
-        raise DimensionError("descriptor matrices differ in shape")
-    d_plus = gram_distance(g2, g)
-    d_minus = gram_distance(g2, g1)
-    return softplus(d_plus - d_minus)
+    return softplus(abs_(g2 - g).sum() - abs_(g2 - g1).sum())
 
 
 def rank_loss_total(taps):
-    """Sum of per-layer ranking losses over (g1, g2, g) descriptor triples."""
+    """Sum of per-layer ranking losses over (g1, g2, g) Gram triples."""
     taps = list(taps)
     if not taps:
         raise ConfigError("rank loss needs at least one feature tap")

@@ -461,9 +461,9 @@ def train_stage1(store, cfg, out_dir=None, resume=None):
 # -- stage 2 ------------------------------------------------------------------
 
 
-def _gram_triples(taps, feats_y1, feats_y2, feats_real):
-    return [(gram(f1, name), gram(f2, name), gram(fr, name))
-            for name, f1, f2, fr in zip(taps, feats_y1, feats_y2, feats_real)]
+def _gram_triples(feats_y1, feats_y2, feats_real):
+    return [(gram(f1), gram(f2), gram(fr))
+            for f1, f2, fr in zip(feats_y1, feats_y2, feats_real)]
 
 
 def stage2_d_objective(nets, y, x, lam):
@@ -479,7 +479,7 @@ def stage2_d_objective(nets, y, x, lam):
     d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2)
     _, feats_y1 = forward_discriminator(d_spec, d_params, y1)
     loss_d = discriminator_adversarial(d_real, d_fake)
-    rank = rank_loss_total(_gram_triples(d_spec.taps, feats_y1, feats_y2, feats_real))
+    rank = rank_loss_total(_gram_triples(feats_y1, feats_y2, feats_real))
     return loss_d - lam * rank, {"adv_d": loss_d.item()}
 
 
@@ -495,7 +495,7 @@ def stage2_g_objective(nets, y, x, lam):
     y2 = forward_generator(g2_spec, g2_params, y1)
     d_fake, feats_y2 = forward_discriminator(d_spec, d_params, y2)
     adv_g = generator_adversarial(d_fake)
-    rank = rank_loss_total(_gram_triples(d_spec.taps, feats_y1, feats_y2, feats_real))
+    rank = rank_loss_total(_gram_triples(feats_y1, feats_y2, feats_real))
     l_con = content_loss(y, y2)
     return adv_g + lam * rank + l_con, {"adv_g": adv_g.item(), "rank": rank.item(),
                                         "content": l_con.item()}

@@ -20,7 +20,7 @@ from lapsegan.data import (ClipStore, denormalize_pixels, ingest,
                            normalize_pixels, read_manifest, read_ppm,
                            split_store, synth_frame_dirs)
 from lapsegan.errors import DimensionError
-from lapsegan.losses import (GramDescriptor, LossReport, content_loss,
+from lapsegan.losses import (LossReport, content_loss,
                              discriminator_adversarial, generator_adversarial,
                              gram, rank_loss_layer, rank_loss_total)
 from lapsegan.models import (_SKIPS_STAGE1, _assemble, _generator_rows,
@@ -145,14 +145,14 @@ def test_criterion_02_gradient_suite():
     yt = t64(rng.standard_normal((1, 3, 2, 2, 2)))
     check("content", lambda v: content_loss(yt, v),
           t64(rng.standard_normal((1, 3, 2, 2, 2)) + 3.0))
-    check("gram", lambda v: (gram(v).matrix * gram(v).matrix).sum(),
+    check("gram", lambda v: (gram(v) * gram(v)).sum(),
           t64(rng.standard_normal((1, 2, 2, 2, 2))))
 
     # the full ranking chain of the method: gram -> L1 -> softplus
     f1 = t64(rng.standard_normal((2, 2, 2, 2, 3)))
     fr = t64(rng.standard_normal((2, 2, 2, 2, 3)))
     check("rank-chain", lambda v: rank_loss_total(
-        [(gram(f1, "a"), gram(v, "a"), gram(fr, "a"))]),
+        [(gram(f1), gram(v), gram(fr))]),
         t64(rng.standard_normal((2, 2, 2, 2, 3))))
 
     # end-to-end width-1/8 composite: D(G(x)) and the refine generator
@@ -182,8 +182,8 @@ def test_criterion_02_gradient_suite():
         with T.no_grad():
             _, feats_real = forward_discriminator(d_spec, dp64, y_real)
             _, feats_y1 = forward_discriminator(d_spec, dp64, y1_in)
-        triples = [(gram(a, n), gram(b, n), gram(c, n)) for n, a, b, c
-                   in zip(d_spec.taps, feats_y1, feats_y2, feats_real)]
+        triples = [(gram(a), gram(b), gram(c))
+                   for a, b, c in zip(feats_y1, feats_y2, feats_real)]
         return (losses.generator_adversarial(d_fake)
                 + rank_loss_total(triples) + content_loss(y_real, y2))
 
@@ -207,12 +207,10 @@ def test_criterion_03_loss_identities():
         if abs(dp - dm) >= 30.0:
             continue
         naive = -math.log(math.exp(-dp) / (math.exp(-dp) + math.exp(-dm)))
-        mk = lambda v: GramDescriptor(t64([[v]]), "l")
-        got = rank_loss_layer(mk(dm), mk(0.0), mk(dp)).item()
+        got = rank_loss_layer(t64([[dm]]), t64([[0.0]]), t64([[dp]])).item()
         assert abs(got - naive) < 1e-9
 
-    mk = lambda v: GramDescriptor(t64([[v]]), "l")
-    assert abs(rank_loss_layer(mk(0.7), mk(0.0), mk(0.7)).item() - LN2) < 1e-9
+    assert abs(rank_loss_layer(t64([[0.7]]), t64([[0.0]]), t64([[0.7]])).item() - LN2) < 1e-9
 
     r2 = LossReport(iteration=1, adv_d=1.25, adv_g=-0.5, content=0.3, rank=7.7, lam=0.0)
     r1 = LossReport(iteration=1, adv_d=1.25, adv_g=-0.5, content=0.3, lam=1.0)
@@ -222,15 +220,14 @@ def test_criterion_03_loss_identities():
 
 
 def test_criterion_04_gram_properties():
-    d = gram(t64(np.ones((1, 2, 1, 1, 3))))
-    assert_array_equal(d.matrix.values, 0.5 * np.ones((2, 2)))
+    assert_array_equal(gram(t64(np.ones((1, 2, 1, 1, 3)))).values, 0.5 * np.ones((2, 2)))
 
     rng = np.random.default_rng(4)
     for _ in range(25):
         shape = (int(rng.integers(1, 3)), int(rng.integers(1, 5)),
                  int(rng.integers(1, 5)), int(rng.integers(1, 4)),
                  int(rng.integers(1, 4)))
-        g = gram(t64(rng.standard_normal(shape))).matrix.values
+        g = gram(t64(rng.standard_normal(shape))).values
         assert g.shape[0] <= 32
         peak = np.max(np.abs(g))
         assert np.max(np.abs(g - g.T)) <= 1e-6 * max(peak, 1e-30)

@@ -427,6 +427,22 @@ class TestSplitArgs:
         assert not (out / "manifest.jsonl").exists()
 
 
+class TestIngestSources:
+    def test_one_usable_source_exit_2_without_manifest(self, tmp_path, capsys):
+        # one source long enough for a clip, one too short to give any
+        frames = tmp_path / "frames"
+        for name, n_frames in (("long", 32), ("short", 31)):
+            (frames / name).mkdir(parents=True)
+            for t in range(n_frames):
+                write_ppm(frames / name / f"f_{t}.ppm", np.full((8, 8, 3), t, np.uint8))
+        out = tmp_path / "s"
+        assert main(["ingest", "--frames-root", str(frames), "--out", str(out),
+                     "--resolution", "64"]) == 2
+        assert "fewer than 2 usable sources" in capsys.readouterr().err
+        assert not (out / "manifest.jsonl").exists()
+        assert main(["inspect", str(out)]) == 3
+
+
 class TestNegativeSeed:
     def test_synth_data_exit_2(self, tmp_path, capsys):
         out = tmp_path / "s"

@@ -103,9 +103,10 @@ class TestIngest:
     def test_short_source_skipped(self, tmp_path, caplog):
         write_source(tmp_path / "frames", "short", 31)
         write_source(tmp_path / "frames", "ok", 32)
+        write_source(tmp_path / "frames", "ok2", 32)
         with caplog.at_level("WARNING"):
             recs = ingest(tmp_path / "frames", tmp_path / "store", 16)
-        assert {r.source_id for r in recs} == {"ok"}
+        assert {r.source_id for r in recs} == {"ok", "ok2"}
         assert any("short" in r.message for r in caplog.records)
 
     def test_no_usable_sources(self, tmp_path):
@@ -117,14 +118,16 @@ class TestIngest:
         src = write_source(tmp_path / "frames", "bad", 32)
         (src / "f_5.ppm").write_bytes(b"P6\n2 2\n255\nxx")
         write_source(tmp_path / "frames", "good", 32)
+        write_source(tmp_path / "frames", "good2", 32)
         with caplog.at_level("WARNING"):
             recs = ingest(tmp_path / "frames", tmp_path / "store", 16)
-        assert {r.source_id for r in recs} == {"good"}
+        assert {r.source_id for r in recs} == {"good", "good2"}
 
     def test_non_overlap_and_order(self, tmp_path):
         # frame index encoded in the pixel value: clip i must cover
         # frames [32i, 32i+31] in order
         write_source(tmp_path / "frames", "seq", 96, resolution=8)
+        write_source(tmp_path / "frames", "seq2", 32, resolution=8)
         ingest(tmp_path / "frames", tmp_path / "store", 8)
         store = ClipStore(tmp_path / "store")
         for rec in store.records:
@@ -139,6 +142,7 @@ class TestIngest:
         # f_2 must sort before f_10
         for t in [10, 2, 1, 0] + list(range(3, 10)) + list(range(11, 32)):
             write_ppm(src / f"f_{t}.ppm", np.full((8, 8, 3), t, np.uint8))
+        write_source(tmp_path / "frames", "z", 32, resolution=8)  # sorts after "n"
         ingest(tmp_path / "frames", tmp_path / "store", 8)
         store = ClipStore(tmp_path / "store")
         clip = store.load_clip(store.records[0])
@@ -153,6 +157,7 @@ class TestIngest:
             root = Path(td)
             write_source(root / "frames", "s", n_frames, resolution=8)
             write_source(root / "frames", "pad", 32, resolution=8)
+            write_source(root / "frames", "pad2", 32, resolution=8)
             recs = ingest(root / "frames", root / "store", 8)
             got = sum(1 for r in recs if r.source_id == "s")
             assert got == n_frames // 32
@@ -193,9 +198,9 @@ class TestSplit:
 
     def test_single_source_rejected(self, tmp_path):
         write_source(tmp_path / "frames", "only", 64)
-        ingest(tmp_path / "frames", tmp_path / "store", 8)
         with pytest.raises(ConfigError):
-            split_store(tmp_path / "store", 0.5, seed=0)
+            ingest(tmp_path / "frames", tmp_path / "store", 8)
+        assert not (tmp_path / "store" / "manifest.jsonl").exists()
 
 
 class TestBatching:

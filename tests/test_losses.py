@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lapsegan import losses, tensor as T
-from lapsegan.errors import ConfigError, ContractError, DimensionError
-from lapsegan.losses import (GramDescriptor, LossReport, content_loss,
+from lapsegan.errors import ConfigError, DimensionError
+from lapsegan.losses import (LossReport, content_loss,
                              discriminator_adversarial, generator_adversarial,
                              gram, rank_loss_layer, rank_loss_total, softplus)
 from lapsegan.tensor import Tensor
@@ -22,10 +22,6 @@ def t64(x):
 
 def scores(*vals):
     return t64(np.asarray(vals).reshape(-1, 1))
-
-
-def desc(matrix, layer="l1"):
-    return GramDescriptor(matrix=t64(matrix), layer_id=layer)
 
 
 class TestAdversarial:
@@ -121,18 +117,15 @@ def gram_loop_oracle(feat, batch_mean=False):
 class TestGram:
     def test_all_ones_half_matrix(self):
         feat = t64(np.ones((1, 2, 1, 1, 3)))
-        d = gram(feat, "conv1")
-        assert_allclose(d.matrix.values, 0.5 * np.ones((2, 2)), rtol=0)
-        assert d.layer_id == "conv1"
+        assert_allclose(gram(feat).values, 0.5 * np.ones((2, 2)), rtol=0)
 
     def test_zero_features(self):
-        assert not np.any(gram(t64(np.zeros((2, 2, 2, 2, 2)))).matrix.values)
+        assert not np.any(gram(t64(np.zeros((2, 2, 2, 2, 2)))).values)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
         feat = rng.standard_normal((2, 3, 2, 2, 3))
-        d = gram(t64(feat))
-        assert_allclose(d.matrix.values, gram_loop_oracle(feat), atol=1e-10)
+        assert_allclose(gram(t64(feat)).values, gram_loop_oracle(feat), atol=1e-10)
 
     def test_symmetric_and_psd(self):
         rng = np.random.default_rng(5)
@@ -140,7 +133,7 @@ class TestGram:
             shape = (int(rng.integers(1, 3)), int(rng.integers(1, 5)),
                      int(rng.integers(1, 4)), int(rng.integers(1, 4)),
                      int(rng.integers(1, 4)))
-            g = gram(t64(rng.standard_normal(shape))).matrix.values
+            g = gram(t64(rng.standard_normal(shape))).values
             assert g.shape[0] <= 32
             assert np.max(np.abs(g - g.T)) <= 1e-6 * max(np.max(np.abs(g)), 1e-30)
             eig = np.linalg.eigvalsh(g)
@@ -149,23 +142,23 @@ class TestGram:
     def test_gradient_through_descriptor(self):
         rng = np.random.default_rng(6)
         feat = t64(rng.standard_normal((1, 2, 2, 2, 2)))
-        err = T.grad_check(lambda v: (gram(v).matrix * gram(v).matrix).sum(), feat)
+        err = T.grad_check(lambda v: (gram(v) * gram(v)).sum(), feat)
         assert err < 1e-5
 
 
 class TestSoftplusAndRanking:
     def test_equal_distances_give_ln2(self):
-        loss = rank_loss_layer(desc([[0.7]]), desc([[0.0]]), desc([[0.7]]))
+        loss = rank_loss_layer(t64([[0.7]]), t64([[0.0]]), t64([[0.7]]))
         assert abs(loss.item() - LN2) < 1e-9
 
     def test_unit_gap_closed_form(self):
         # d_plus = 1, d_minus = 0 -> log(1 + e)
-        loss = rank_loss_layer(desc([[0.0]]), desc([[0.0]]), desc([[1.0]]))
+        loss = rank_loss_layer(t64([[0.0]]), t64([[0.0]]), t64([[1.0]]))
         assert abs(loss.item() - math.log(1.0 + math.e)) < 1e-9
 
     def test_large_negative_gap_underflows_gracefully(self):
         # d_plus = 0, d_minus = 50 -> ~ e^-50, finite and non-negative
-        loss = rank_loss_layer(desc([[50.0]]), desc([[0.0]]), desc([[0.0]]))
+        loss = rank_loss_layer(t64([[50.0]]), t64([[0.0]]), t64([[0.0]]))
         assert 0.0 <= loss.item() < 1e-21
         assert abs(loss.item() - math.exp(-50.0)) < 1e-27
 
@@ -189,29 +182,28 @@ class TestSoftplusAndRanking:
     @given(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.floats(0.01, 5.0))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_both_distances(self, dp, dm, step):
-        base = rank_loss_layer(desc([[dm]]), desc([[0.0]]), desc([[dp]])).item()
-        more_plus = rank_loss_layer(desc([[dm]]), desc([[0.0]]),
-                                    desc([[dp + step]])).item()
-        less_minus = rank_loss_layer(desc([[dm + step]]), desc([[0.0]]),
-                                     desc([[dp]])).item()
+        base = rank_loss_layer(t64([[dm]]), t64([[0.0]]), t64([[dp]])).item()
+        more_plus = rank_loss_layer(t64([[dm]]), t64([[0.0]]),
+                                    t64([[dp + step]])).item()
+        less_minus = rank_loss_layer(t64([[dm + step]]), t64([[0.0]]),
+                                     t64([[dp]])).item()
         assert base > 0.0
         assert more_plus > base
         assert less_minus < base
 
     def test_layer_mismatch_rejected(self):
-        with pytest.raises(ContractError):
-            rank_loss_layer(desc([[0.0]], "a"), desc([[0.0]], "b"), desc([[0.0]], "a"))
+        # Gram matrices of different layers differ in shape
         with pytest.raises(DimensionError):
-            rank_loss_layer(desc(np.zeros((2, 2))), desc([[0.0]]), desc([[0.0]]))
+            rank_loss_layer(t64(np.zeros((2, 2))), t64([[0.0]]), t64([[0.0]]))
 
 
 class TestRankTotal:
     def test_single_tap_equals_layer_loss(self):
-        triple = (desc([[1.0]]), desc([[0.0]]), desc([[2.0]]))
+        triple = (t64([[1.0]]), t64([[0.0]]), t64([[2.0]]))
         assert rank_loss_total([triple]).item() == rank_loss_layer(*triple).item()
 
     def test_two_identical_taps_double(self):
-        triple = (desc([[1.0]]), desc([[0.0]]), desc([[2.0]]))
+        triple = (t64([[1.0]]), t64([[0.0]]), t64([[2.0]]))
         single = rank_loss_layer(*triple).item()
         assert abs(rank_loss_total([triple, triple]).item() - 2.0 * single) < 1e-12
 
@@ -220,7 +212,7 @@ class TestRankTotal:
         for _ in range(20):
             g_real = rng.standard_normal((3, 3))
             g_one = g_real + rng.standard_normal((3, 3)) * 0.5
-            triple = (desc(g_one), desc(g_real), desc(g_real))  # g2 == g
+            triple = (t64(g_one), t64(g_real), t64(g_real))  # g2 == g
             assert rank_loss_total([triple]).item() < LN2
 
     def test_empty_taps_rejected(self):
@@ -234,7 +226,7 @@ class TestRankTotal:
         fr = t64(rng.standard_normal((1, 2, 2, 2, 2)))
 
         def f(v):
-            taps = [(gram(f1, "a"), gram(v, "a"), gram(fr, "a"))]
+            taps = [(gram(f1), gram(v), gram(fr))]
             return rank_loss_total(taps)
 
         f2 = t64(rng.standard_normal((1, 2, 2, 2, 2)))

@@ -154,16 +154,18 @@ class TestUnitRange:
 class TestMetricReport:
     def test_row_consistency_enforced(self):
         rep = MetricReport("m")
-        rep.add("a/0", 0.01, psnr_from_mse(0.01), 0.9)
+        rep.add("a/0", 0.01, 0.9)
+        assert rep.rows == [("a/0", 0.01, psnr_from_mse(0.01), 0.9)]
         with pytest.raises(ContractError):
-            rep.add("a/1", 0.01, 33.0, 0.9)
+            rep.add("a/1", -0.01, 0.9)
         with pytest.raises(ContractError):
-            rep.add("a/2", 0.01, psnr_from_mse(0.01), 1.5)
+            rep.add("a/2", 0.01, 1.5)
+        assert len(rep.rows) == 1
 
     def test_csv_layout(self, tmp_path):
         rep = MetricReport("m")
-        rep.add("a/0", 0.01, psnr_from_mse(0.01), 0.5)
-        rep.add("b/1", 0.04, psnr_from_mse(0.04), 0.7)
+        rep.add("a/0", 0.01, 0.5)
+        rep.add("b/1", 0.04, 0.7)
         out = tmp_path / "r.csv"
         rep.to_csv(out)
         lines = out.read_text().splitlines()
@@ -174,8 +176,8 @@ class TestMetricReport:
 
     def test_two_psnr_aggregations(self):
         rep = MetricReport("m")
-        rep.add("a", 0.01, psnr_from_mse(0.01), 0.5)
-        rep.add("b", 0.0001, psnr_from_mse(0.0001), 0.5)
+        rep.add("a", 0.01, 0.5)
+        rep.add("b", 0.0001, 0.5)
         assert abs(rep.mean_psnr - 30.0) < 1e-9
         assert abs(rep.psnr_of_mean_mse - psnr_from_mse(0.00505)) < 1e-12
 
@@ -184,7 +186,7 @@ class TestMetricReport:
         rng = np.random.default_rng(8)
         for i in range(5):
             m = float(rng.uniform(1e-4, 0.5))
-            rep.add(str(i), m, psnr_from_mse(m), 0.5)
+            rep.add(str(i), m, 0.5)
         for _, m, p, _ in rep.rows:
             assert abs(p - 10.0 * math.log10(1.0 / m)) < 1e-6
 

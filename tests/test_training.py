@@ -15,9 +15,10 @@ from lapsegan.data import load_batch
 from lapsegan.errors import (ConfigError, ContractError, IntegrityError,
                              UnsupportedVersionError)
 from lapsegan.losses import LossReport
-from lapsegan.models import build_discriminator, build_generator
+from lapsegan.models import (CLIP_FRAMES, build_discriminator, build_generator,
+                             duplicate_frame, forward_generator)
 from lapsegan.ops import ParameterSet, init_parameters
-from lapsegan.tensor import Tensor, backward
+from lapsegan.tensor import Tensor, backward, no_grad
 from lapsegan.training import (AdamState, Checkpoint, TrainingDiverged,
                                adam_step, generate_video, load_checkpoint,
                                save_checkpoint, stage1_d_objective,
@@ -710,6 +711,28 @@ class TestGenerate:
         v1 = generate_video(stage1_ckpt, frame)
         assert v2.shape == v1.shape
         assert np.any(v2.values != v1.values)
+
+    def test_batch_mode_normalizes_with_clip_statistics(self, store64, stage1_ckpt):
+        """With generation_bn_mode=batch, G1 and G2 run train-mode batch norm
+        on the clip being generated and leave their running buffers alone."""
+        running, _ = train_stage2(store64, desk_config(iterations=1), stage1_ckpt)
+        ckpt = dataclasses.replace(
+            running, config={**running.config, "generation_bn_mode": "batch"})
+        buffers = {(net, k): b.copy() for net in training.GENERATORS
+                   for k, b in ckpt.params[net].buffers.items()}
+        frame = Tensor(np.random.default_rng(2).uniform(-1, 1, (1, 3, 64, 64))
+                       .astype(np.float32))
+        video = generate_video(ckpt, frame)
+        with no_grad():
+            want = duplicate_frame(frame, CLIP_FRAMES)
+            for stage, net in ((1, "g1"), (2, "g2")):
+                want = forward_generator(build_generator(stage, 64, 0.125),
+                                         ckpt.params[net], want, "train",
+                                         update_running=False)
+        assert video.values.tobytes() == want.values.tobytes()
+        for (net, k), b in buffers.items():
+            assert ckpt.params[net].buffers[k].tobytes() == b.tobytes()
+        assert np.any(video.values != generate_video(running, frame).values)
 
     def test_resolution_mismatch(self, stage1_ckpt):
         frame = Tensor(np.zeros((1, 3, 128, 128), dtype=np.float32))
