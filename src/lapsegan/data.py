@@ -208,7 +208,8 @@ def ingest(frame_root, out_store, target_resolution):
 
     Returns the list of manifest records. Sources with unreadable or
     inconsistent frames are skipped with a logged diagnostic; fewer than
-    2 usable sources, too few to split, is an error and writes no manifest.
+    2 usable sources, too few to split, is an error: it writes no manifest
+    and removes the clip files it wrote.
     """
     frame_root = Path(frame_root)
     out_store = Path(out_store)
@@ -245,6 +246,8 @@ def ingest(frame_root, out_store, target_resolution):
                                       file=fname, split="train",
                                       h=target_resolution, w=target_resolution))
     if len({r.source_id for r in records}) < 2:
+        for rec in records:  # a refused store keeps no clip files either
+            (out_store / "clips" / rec.file).unlink()
         raise ConfigError(f"fewer than 2 usable sources under {frame_root}")
     write_manifest(out_store, records)
     return records

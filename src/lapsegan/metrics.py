@@ -5,11 +5,16 @@ Metrics operate on the [0,1] pixel domain (videos in [-1,1] are mapped via
 (v+1)/2 and clamped) with peak value 1. SSIM follows the standard
 Gaussian-window form: 11x11 window, sigma 1.5, K1=0.01, K2=0.03, evaluated
 per frame per channel over all fully valid windows and averaged.
+
+``evaluate_store`` scores one clip's SSIM on a scoring thread while the next
+clip generates; each SSIM runs the same float operations as a serial loop,
+and rows are added in sample order, so the rows do not depend on the overlap.
 """
 from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,18 +78,20 @@ def _gaussian_kernel():
 _KERNEL_1D = _gaussian_kernel()
 
 
-def _filter_valid(img):
-    """Separable Gaussian filtering over all fully valid windows."""
-    t = sliding_window_view(img, SSIM_WINDOW, axis=0) @ _KERNEL_1D
-    return sliding_window_view(t, SSIM_WINDOW, axis=1) @ _KERNEL_1D
+def _filter_valid(maps):
+    """Separable Gaussian filtering of a (K,H,W) stack over all fully valid
+    windows. Each map's rows go through the same calls as a lone map's: one
+    BLAS gemv per row in the first pass, numpy's own matmul loop over the
+    overlapping windows in the second."""
+    t = sliding_window_view(maps, SSIM_WINDOW, axis=1) @ _KERNEL_1D
+    return sliding_window_view(t, SSIM_WINDOW, axis=2) @ _KERNEL_1D
 
 
 def _ssim_frame(x, y, c1, c2):
-    mu_x = _filter_valid(x)
-    mu_y = _filter_valid(y)
-    var_x = _filter_valid(x * x) - mu_x * mu_x
-    var_y = _filter_valid(y * y) - mu_y * mu_y
-    cov = _filter_valid(x * y) - mu_x * mu_y
+    mu_x, mu_y, xx, yy, xy = _filter_valid(np.stack((x, y, x * x, y * y, x * y)))
+    var_x = xx - mu_x * mu_x
+    var_y = yy - mu_y * mu_y
+    cov = xy - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     return float(np.mean(num / den))
@@ -172,6 +179,9 @@ def evaluate_store(predict, store, n_samples, seed, model_id="model"):
     ``predict`` maps a uint8 clip (3,32,H,W) to a generated video in the
     [0,1] metric domain; the ground truth is the clip itself mapped to
     [0,1]. Sampling is seeded, without replacement when the split allows.
+    Clip i's SSIM runs on one scoring thread while clip i+1 is loaded and
+    generated, so ``predict`` must not write into an array it returned
+    before; MSE and the rows stay on the calling thread, in sample order.
     """
     if n_samples < 1:
         raise ConfigError(f"need at least 1 clip to evaluate, got {n_samples}")
@@ -187,13 +197,23 @@ def evaluate_store(predict, store, n_samples, seed, model_id="model"):
                     n_samples, len(records))
     idxs = rng.choice(len(records), size=n_samples, replace=replace)
     report = MetricReport(model_id=model_id)
-    for i in idxs:
-        rec = records[int(i)]
-        clip = store.load_clip(rec)
-        truth = clip.astype(np.float64) / 255.0
-        generated = predict(clip)
-        report.add(f"{rec.source_id}/{rec.clip_index}", mse(generated, truth),
-                   ssim(generated, truth))
+    pending = None  # (clip id, mse, SSIM future) of the clip being scored
+    with ThreadPoolExecutor(1, thread_name_prefix="lapsegan-score") as scorer:
+        for i in idxs:
+            rec = records[int(i)]
+            try:
+                clip = store.load_clip(rec)
+                truth = clip.astype(np.float64) / 255.0
+                generated = predict(clip)
+                err = mse(generated, truth)
+            finally:
+                # the previous clip's row goes first, so that when both clips
+                # fail, the earlier one's error is the one raised
+                if pending is not None:
+                    report.add(pending[0], pending[1], pending[2].result())
+            pending = (f"{rec.source_id}/{rec.clip_index}", err,
+                       scorer.submit(ssim, generated, truth))
+        report.add(pending[0], pending[1], pending[2].result())
     return report
 
 

@@ -42,8 +42,8 @@ do not depend on the number of threads or on which job finishes first.
 ``_weight_gradient``'s calling thread adds the samples' products in sample
 order. The calling thread also makes every buffer a job uses, one set per
 worker, reused job after job: at most one column block per worker is in
-flight. Workers never make a ``Tensor`` or touch the tape, so the
-module-global state of ``tensor.no_grad`` stays correct.
+flight. Workers never make a ``Tensor`` or touch the tape, so they never
+read ``tensor.no_grad``'s state, which is per thread and not inherited.
 
 The rearrangement works on a stride-phase grid (space-to-depth, Shi et al.,
 arXiv:1609.07009): the zero-padded volume is stored as

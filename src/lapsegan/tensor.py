@@ -19,31 +19,37 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, IntegrityError
 
-_grad_enabled = True
+
+class _TapeState(threading.local):
+    grad_enabled = True
+
+
+_tape = _TapeState()
 
 
 @contextmanager
 def no_grad():
-    """Suspend tape recording inside the block (forward values only)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Suspend tape recording inside the block (forward values only), on the
+    calling thread alone."""
+    prev = _tape.grad_enabled
+    _tape.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _tape.grad_enabled = prev
 
 
 def recording(tensors):
-    """Whether an op over ``tensors`` records a graph node: the tape is live
-    and at least one of them requires grad."""
-    return _grad_enabled and any(t.requires_grad for t in tensors)
+    """Whether an op over ``tensors`` records a graph node: the calling
+    thread's tape is live and at least one of them requires grad."""
+    return _tape.grad_enabled and any(t.requires_grad for t in tensors)
 
 
 class Tensor:

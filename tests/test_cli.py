@@ -442,6 +442,20 @@ class TestIngestSources:
         assert not (out / "manifest.jsonl").exists()
         assert main(["inspect", str(out)]) == 3
 
+    def test_refusal_leaves_no_clip_files(self, tmp_path):
+        # the long source gives two clips, which ingest writes before it
+        # counts the usable sources
+        frames = tmp_path / "frames"
+        for name, n_frames in (("long", 64), ("short", 31)):
+            (frames / name).mkdir(parents=True)
+            for t in range(n_frames):
+                write_ppm(frames / name / f"f_{t}.ppm", np.full((8, 8, 3), t, np.uint8))
+        out = tmp_path / "s"
+        assert main(["ingest", "--frames-root", str(frames), "--out", str(out),
+                     "--resolution", "64"]) == 2
+        assert not (out / "manifest.jsonl").exists()
+        assert sorted((out / "clips").glob("*.mdt")) == []
+
 
 class TestNegativeSeed:
     def test_synth_data_exit_2(self, tmp_path, capsys):

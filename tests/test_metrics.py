@@ -1,7 +1,9 @@
 import math
+import threading
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
 from lapsegan import metrics
@@ -118,6 +120,46 @@ class TestSsim:
     def test_frame_smaller_than_window(self):
         with pytest.raises(ConfigError):
             ssim(np.zeros((8, 8)), np.zeros((8, 8)))
+
+
+def ssim_map_by_map(a, b):
+    """SSIM with one filter call per map: the loop ``ssim`` ran before it
+    filtered a frame's five maps as one stack. Kept to pin the bits."""
+    def filter_valid(img):
+        t = sliding_window_view(img, metrics.SSIM_WINDOW, axis=0) @ metrics._KERNEL_1D
+        return sliding_window_view(t, metrics.SSIM_WINDOW, axis=1) @ metrics._KERNEL_1D
+
+    def ssim_frame(x, y):
+        mu_x = filter_valid(x)
+        mu_y = filter_valid(y)
+        var_x = filter_valid(x * x) - mu_x * mu_x
+        var_y = filter_valid(y * y) - mu_y * mu_y
+        cov = filter_valid(x * y) - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + C1) * (2.0 * cov + C2)
+        den = (mu_x * mu_x + mu_y * mu_y + C1) * (var_x + var_y + C2)
+        return float(np.mean(num / den))
+
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if a.ndim == 2:
+        return ssim_frame(a, b)
+    return float(np.mean([ssim_frame(a[c, t], b[c, t])
+                          for c in range(a.shape[0]) for t in range(a.shape[1])]))
+
+
+class TestStackedFilterBits:
+    @pytest.mark.parametrize("shape", [(11, 11), (13, 40), (3, 32, 64, 64),
+                                       (3, 32, 128, 128)])
+    def test_equals_map_by_map_loop(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.random(shape)
+        for y in (np.clip(x + rng.normal(0, 0.1, shape), 0, 1), rng.random(shape)):
+            assert ssim(x, y) == ssim_map_by_map(x, y)
+
+    @pytest.mark.parametrize("shape", [(3, 32, 64, 64), (3, 32, 128, 128)])
+    def test_identical_clips(self, shape):
+        x = np.random.default_rng(1).random(shape)
+        assert ssim(x, x.copy()) == ssim_map_by_map(x, x.copy()) == 1.0
 
 
 class TestLayoutIndependence:
@@ -255,3 +297,75 @@ class TestEvaluateStore:
         noisy = np.clip(a + 0.1, 0, 1)
         assert mse(noisy, a) == mse(noisy, b)
         assert ssim(noisy, a) == ssim(noisy, b)
+
+
+def serial_rows(predict, store, n_samples, seed):
+    """Rows of the one-clip-at-a-time loop: each clip loaded, generated and
+    scored before the next."""
+    records = store.split_records("test")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    idxs = rng.choice(len(records), size=n_samples, replace=n_samples > len(records))
+    rows = []
+    for i in idxs:
+        rec = records[int(i)]
+        clip = store.load_clip(rec)
+        truth = clip.astype(np.float64) / 255.0
+        generated = predict(clip)
+        err = mse(generated, truth)
+        rows.append((f"{rec.source_id}/{rec.clip_index}", err, psnr_from_mse(err),
+                     ssim(generated, truth)))
+    return rows
+
+
+def scorer_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("lapsegan-score")]
+
+
+class TestPipelinedScoring:
+    """``evaluate_store`` scores clip i's SSIM on a thread while clip i+1
+    generates; rows and errors must be those of the serial loop."""
+
+    @staticmethod
+    def blurred(clip):
+        # a deterministic stand-in model, far enough from the truth that
+        # every row differs
+        v = clip.astype(np.float64) / 255.0
+        return np.clip(0.5 * (v + np.roll(v, 1, axis=-1)) + 0.02, 0.0, 1.0)
+
+    @pytest.mark.parametrize("n_samples", [1, 3, 9])
+    def test_rows_equal_serial_loop(self, tmp_path, n_samples):
+        store = build_store(tmp_path)
+        assert len(store.split_records("test")) < 9  # 9 samples with replacement
+        rep = evaluate_store(self.blurred, store, n_samples, seed=4)
+        assert rep.rows == serial_rows(self.blurred, store, n_samples, seed=4)
+        assert scorer_threads() == []
+
+    def test_earliest_failing_clip_decides(self, tmp_path):
+        store = build_store(tmp_path)
+        calls = []
+
+        def predict(clip):
+            calls.append(len(calls))
+            if len(calls) == 1:  # clip 0: NaN, so its row is refused
+                return np.full(clip.shape, np.nan)
+            raise RuntimeError("clip 1 failed")
+
+        with pytest.raises(ContractError, match="invalid mse nan"):
+            evaluate_store(predict, store, n_samples=2, seed=0)
+        assert calls == [0, 1]
+        assert scorer_threads() == []
+
+    def test_later_failure_raised_after_earlier_row(self, tmp_path):
+        store = build_store(tmp_path)
+        calls = []
+
+        def predict(clip):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise RuntimeError("clip 1 failed")
+            return clip.astype(np.float64) / 255.0
+
+        with pytest.raises(RuntimeError, match="clip 1 failed"):
+            evaluate_store(predict, store, n_samples=3, seed=0)
+        assert calls == [0, 1]
+        assert scorer_threads() == []

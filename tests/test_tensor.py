@@ -1,6 +1,7 @@
 import gc
 import io
 import struct
+import threading
 import weakref
 
 import numpy as np
@@ -215,6 +216,30 @@ class TestBackward:
         with T.no_grad():
             y = x * x
         assert not y.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        x = f64([2.0], requires_grad=True)
+        inside, checked = threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with T.no_grad():
+                seen["inside"] = (x * x).requires_grad
+                inside.set()
+                checked.wait(timeout=10)
+            seen["after"] = (x * x).requires_grad
+
+        a = threading.Thread(target=thread_a)
+        a.start()
+        try:
+            assert inside.wait(timeout=10)
+            y = x * x  # thread B, while thread A sits inside no_grad
+        finally:
+            checked.set()
+            a.join(timeout=10)
+        assert not a.is_alive()
+        assert y.requires_grad and y._backward is not None
+        assert seen == {"inside": False, "after": True}
 
     def test_deep_chain_no_recursion_limit(self):
         x = f64([1.0], requires_grad=True)
