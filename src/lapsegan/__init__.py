@@ -6,8 +6,8 @@ motion-ranking losses, training loops, a frame-clip data pipeline, and the
 MSE/PSNR/SSIM evaluation harness. Entry point: the ``lapsegan`` CLI.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
-from .tensor import Tensor, backward, grad_check, no_grad
+from .tensor import Tensor, backward, no_grad
 
-__all__ = ["Tensor", "backward", "grad_check", "no_grad", "__version__"]
+__all__ = ["Tensor", "backward", "no_grad", "__version__"]

@@ -165,7 +165,7 @@ def cmd_generate(args):
     frame = read_ppm(args.frame)
     x = Tensor(normalize_pixels(frame.transpose(2, 0, 1))[None])
     video = generate_video(ckpt, x)
-    paths = export_clip(Tensor(video.values[0]), args.out)
+    paths = export_clip(video.values[0], args.out)
     print(f"wrote {len(paths)} frames to {args.out} "
           f"(stage-{ckpt.stage} pipeline, iteration {ckpt.iteration})")
     return EXIT_OK

@@ -331,30 +331,21 @@ def load_batch(store, split, batch_size, seed, counter=0):
     idxs = batch_clip_indices(len(records), batch_size, seed, counter)
     clips = np.stack([store.load_clip(records[i]) for i in idxs])
     y = normalize_pixels(clips)
-    first = Tensor(np.ascontiguousarray(y[:, :, 0]))
-    x = duplicate_frame(first, CLIP_FRAMES)
-    return Tensor(y), x
+    return Tensor(y), duplicate_frame(y[:, :, 0], CLIP_FRAMES)
 
 
 def export_clip(video, out_dir):
     """Write a clip as 32 PPM frames.
 
-    ``video`` is (3,32,H,W): float values in [-1,1] (drift outside is
-    clamped with a warning) or uint8 passed through bit-exact.
+    ``video`` is a (3,32,H,W) array: float values in [-1,1] (values out of
+    range are clamped) or uint8 passed through bit-exact.
     """
-    video = np.asarray(video.values if isinstance(video, Tensor) else video)
+    video = np.asarray(video)
     if video.ndim != 4 or video.shape[0] != 3:
         raise DimensionError(f"expected (3,T,H,W) clip, got {video.shape}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if video.dtype == np.uint8:
-        frames = video
-    else:
-        peak = float(np.max(np.abs(video))) if video.size else 0.0
-        if peak > 1.0:
-            log.warning("clip values drift outside [-1,1] (max |v| = %.4g); clamping",
-                        peak)
-        frames = denormalize_pixels(video)
+    frames = video if video.dtype == np.uint8 else denormalize_pixels(video)
     paths = []
     for t in range(frames.shape[1]):
         p = out_dir / f"frame_{t:03d}.ppm"
@@ -413,6 +404,11 @@ def synth_frame_dirs(out_root, n_sources, frames_per_source, resolution,
     """Materialize synthetic sources as per-source PPM frame directories."""
     if n_sources < 2:
         raise ConfigError("need at least 2 synthetic sources (split requires it)")
+    if frames_per_source < CLIP_FRAMES:
+        raise ConfigError(f"frames per source must be >= {CLIP_FRAMES} (one clip), "
+                          f"got {frames_per_source}")
+    if not np.isfinite(velocity):
+        raise ConfigError(f"velocity must be finite, got {velocity}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     out_root = Path(out_root)

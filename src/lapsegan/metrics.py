@@ -34,16 +34,14 @@ PSNR_CAP_DB = 100.0
 
 def to_unit_range(video):
     """Map [-1,1] values onto the [0,1] metric domain, clamping drift."""
-    v = np.asarray(video.values if isinstance(video, Tensor) else video,
-                   dtype=np.float64)
-    return np.clip((v + 1.0) / 2.0, 0.0, 1.0)
+    return np.clip((np.asarray(video, dtype=np.float64) + 1.0) / 2.0, 0.0, 1.0)
 
 
 def _as_unit_arrays(a, b):
     # C order on the way in: the filtering GEMMs round differently on other
     # strides, and a metric must depend on values alone
-    a = np.ascontiguousarray(a.values if isinstance(a, Tensor) else a, dtype=np.float64)
-    b = np.ascontiguousarray(b.values if isinstance(b, Tensor) else b, dtype=np.float64)
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"metric inputs differ in shape: {a.shape} vs {b.shape}")
     return a, b
@@ -56,13 +54,9 @@ def mse(a, b):
     return float(np.mean(d * d))
 
 
-def psnr(a, b):
-    """Peak signal-to-noise ratio in dB for unit-range data, capped at
-    100 dB (the value returned for identical inputs)."""
-    return psnr_from_mse(mse(a, b))
-
-
 def psnr_from_mse(err):
+    """Peak signal-to-noise ratio in dB of a unit-range MSE, capped at
+    100 dB (the value returned for identical inputs)."""
     if err <= 0.0:
         return PSNR_CAP_DB
     return min(10.0 * math.log10(1.0 / err), PSNR_CAP_DB)

@@ -14,7 +14,6 @@ every output bit stays that of the full computation.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from itertools import takewhile
 
@@ -23,9 +22,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .ops import (BatchNormState, ConvParams, activation, batchnorm3d, conv3d,
                   conv_output_shape, deconv3d, deconv_output_shape)
-from .tensor import Tensor, _accumulate, clamp, recording
-
-log = logging.getLogger(__name__)
+from .tensor import Tensor, recording
 
 CLIP_FRAMES = 32  # temporal extent of every video the networks see
 RESOLUTIONS = (128, 64)  # frame sizes the networks are built for
@@ -84,12 +81,6 @@ class NetworkSpec:
     layers: tuple
     skip_map: dict = field(default_factory=dict)   # decoder name -> encoder name
     taps: tuple = ()          # feature-tap layer names (discriminators)
-
-    def layer(self, name):
-        for l in self.layers:
-            if l.name == name:
-                return l
-        raise KeyError(name)
 
 
 def _scale_width(base, width_multiplier):
@@ -202,17 +193,13 @@ def build_discriminator(resolution, width_multiplier=1.0):
 
 
 def duplicate_frame(x, t):
-    """Tile one frame (N,C,H,W) into a static video (N,C,t,H,W)."""
+    """Tile one frame array (N,C,H,W) into a static video Tensor (N,C,t,H,W),
+    off the tape: no caller takes a gradient through the input frame."""
     if t < 1:
         raise DimensionError(f"frame count must be >= 1, got {t}")
     if x.ndim != 4:
         raise DimensionError(f"expected (N,C,H,W) frame, got {x.shape}")
-    out = np.repeat(x.values[:, :, None], t, axis=2)
-
-    def backward(g):
-        _accumulate(x, g.sum(axis=2))
-
-    return Tensor._from_op(out, (x,), backward, "duplicate_frame")
+    return Tensor(np.repeat(x[:, :, None], t, axis=2))
 
 
 def _bn_state(params, name):
@@ -309,17 +296,14 @@ def forward_discriminator(spec, params, video):
     """Score a video and return the tapped post-activation features.
 
     Returns (score, features): score (N,1) strictly inside (0,1), features a
-    list of tap activations in tap order. Inputs outside [-1,1] are clamped
-    with a logged warning; gradients flow through both outputs. Batch norm
-    always uses batch statistics: a discriminator keeps no running ones.
+    list of tap activations in tap order; gradients flow through both
+    outputs. Inputs are taken as they are: the program passes only
+    normalized pixels and tanh outputs, both in [-1,1]. Batch norm always
+    uses batch statistics: a discriminator keeps no running ones.
     """
     if tuple(video.shape[1:]) != tuple(spec.input_shape):
         raise DimensionError(
             f"video shape {video.shape[1:]} does not match spec {spec.input_shape}")
-    peak = float(np.max(np.abs(video.values))) if video.size else 0.0
-    if peak > 1.0:
-        log.warning("discriminator input exceeds [-1,1] (max |v| = %.4g); clamping", peak)
-        video = clamp(video, -1.0, 1.0)
     cur = video
     features = {}
     for layer in spec.layers:

@@ -569,7 +569,7 @@ def generate_video(ckpt, first_frame):
             f"resolution {res}")
     mode = "inference" if cfg.generation_bn_mode == "running" else "train"
     with no_grad():
-        x = duplicate_frame(first_frame, CLIP_FRAMES)
+        x = duplicate_frame(first_frame.values, CLIP_FRAMES)
         g1_spec = build_generator(1, res, cfg.width_multiplier)
         video = forward_generator(g1_spec, ckpt.params["g1"], x, mode,
                                   update_running=False)

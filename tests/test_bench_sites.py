@@ -1,8 +1,12 @@
 """The benchmark's tracer (lapsebench/tracing.py) wraps each function it
 times under the module attribute the program calls it through. A rename, or
 a call that bypasses that attribute, would drop the function's spans from a
-traced run without an error; these checks catch it in tier 1."""
+traced run without an error; these checks catch it in tier 1. So would a
+deletion from lapsegan of a name lapsebench reads, and that would fail the
+benchmark run itself."""
+import ast
 import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -10,7 +14,8 @@ import pytest
 from conftest import desk_config
 from lapsegan import metrics, training
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "lapsebench"))
+LAPSEBENCH = Path(__file__).resolve().parent.parent / "lapsebench"
+sys.path.insert(0, str(LAPSEBENCH))
 import tracing  # noqa: E402
 
 # reached by generate, evaluate and resume, not by a fresh training run
@@ -27,6 +32,42 @@ def traced_training(store64, tmp_path_factory):
         ckpt, _ = training.train_stage1(store64, cfg, out_dir=root / "run1")
         training.train_stage2(store64, cfg, ckpt, out_dir=root / "run2")
     return {span["name"] for span in tracer.spans}, root / "run2"
+
+
+def _lapsegan_references(source):
+    """Dotted paths of the names a file imports from lapsegan and of every
+    attribute it reads through one of those names."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lapsegan":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    reads = {f"{bound[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and isinstance(node.value, ast.Name) and node.value.id in bound}
+    return set(bound.values()) | reads
+
+
+def _resolves(dotted):
+    """Whether a dotted path names a lapsegan module or an attribute of one."""
+    head, *attrs = dotted.split(".")
+    obj = importlib.import_module(head)
+    for attr in attrs:
+        head = f"{head}.{attr}"
+        if (not hasattr(obj, attr) and hasattr(obj, "__path__")
+                and importlib.util.find_spec(head) is not None):
+            importlib.import_module(head)  # a package's submodule not yet imported
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+@pytest.mark.parametrize("path", sorted(LAPSEBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_lapsegan_name_lapsebench_reads_exists(path):
+    refs = _lapsegan_references(path.read_text())
+    assert sorted(ref for ref in refs if not _resolves(ref)) == []
 
 
 def test_every_site_exists():

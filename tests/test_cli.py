@@ -48,6 +48,25 @@ class TestSynthData:
                      "--n-sources", "1", "--resolution", "64"])
         assert code == 2
 
+    @pytest.mark.parametrize("velocity", ["nan", "inf"])
+    def test_non_finite_velocity_exit_2_before_writing(self, tmp_path, capsys, velocity):
+        out = tmp_path / "s"
+        assert main(["synth-data", "--out", str(out), "--resolution", "64",
+                     "--velocity", velocity]) == 2
+        assert "velocity must be finite" in capsys.readouterr().err
+        assert not (out / "manifest.jsonl").exists()
+        assert not (out / "frames").exists()
+
+    @pytest.mark.parametrize("frames", ["-5", "0", "31"])
+    def test_sources_shorter_than_a_clip_exit_2_before_writing(self, tmp_path, capsys,
+                                                                frames):
+        out = tmp_path / "s"
+        assert main(["synth-data", "--out", str(out), "--resolution", "64",
+                     "--frames-per-source", frames]) == 2
+        assert f"frames per source must be >= 32 (one clip), got {frames}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_outputs_exist(self, workspace):
@@ -609,6 +628,9 @@ class TestUsage:
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == lapsegan.__version__
+
+    def test_package_exports(self):
+        assert lapsegan.__all__ == ["Tensor", "backward", "no_grad", "__version__"]
 
 
 class TestResumeStore:

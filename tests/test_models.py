@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from gradcheck import grad_check
 from lapsegan import models, ops, tensor as T
 from lapsegan.errors import ConfigError, DimensionError
 from lapsegan.models import (build_discriminator, build_generator,
@@ -143,8 +144,8 @@ class TestBuildDiscriminator:
     def test_encoder_matches_generator(self):
         g = build_generator(1, 128, 0.5)
         d = build_discriminator(128, 0.5)
-        for dl in d.layers[:-1]:
-            gl = g.layer(dl.name)
+        for dl, gl in zip(d.layers[:-1], g.layers):
+            assert dl.name == gl.name
             assert (dl.params, dl.in_channels, dl.out_channels) == \
                 (gl.params, gl.in_channels, gl.out_channels)
 
@@ -152,27 +153,21 @@ class TestBuildDiscriminator:
 class TestDuplicateFrame:
     def test_every_slice_equals_frame(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32))
+        x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
         out = duplicate_frame(x, 32)
         assert out.shape == (2, 3, 32, 4, 4)
         for t in range(32):
-            assert_array_equal(out.values[:, :, t], x.values)
+            assert_array_equal(out.values[:, :, t], x)
 
     def test_t1_adds_singleton_axis(self):
-        x = Tensor(np.ones((1, 3, 2, 2), dtype=np.float32))
+        x = np.ones((1, 3, 2, 2), dtype=np.float32)
         assert duplicate_frame(x, 1).shape == (1, 3, 1, 2, 2)
 
     def test_sum_linearity(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.standard_normal((1, 3, 5, 5)))
+        x = rng.standard_normal((1, 3, 5, 5))
         out = duplicate_frame(x, 7)
-        assert_allclose(out.values.sum(), 7.0 * x.values.sum(), rtol=1e-12)
-
-    def test_backward(self):
-        x = Tensor(np.random.default_rng(2).standard_normal((1, 2, 3, 3)))
-        err = T.grad_check(lambda v: (duplicate_frame(v, 4)
-                                      * duplicate_frame(v, 4)).sum(), x)
-        assert err < 1e-6
+        assert_allclose(out.values.sum(), 7.0 * x.sum(), rtol=1e-12)
 
 
 def tiny_generator(stage=1, seed=0, dtype=np.float32):
@@ -267,8 +262,7 @@ class TestShortEncoderPath:
                                                 mode, dtype, monkeypatch):
         spec, params = drawn_generator(resolution, width, dtype)
         rng = np.random.default_rng(batch)
-        frame = Tensor(rng.uniform(-1, 1, (batch, 3, resolution, resolution)),
-                       dtype=dtype)
+        frame = rng.uniform(-1, 1, (batch, 3, resolution, resolution)).astype(dtype)
         short, full = assert_forwards_bitwise_equal(
             spec, params, duplicate_frame(frame, 32), mode, monkeypatch)
         # conv1 reads 3 frames, conv2-conv4 read [f, i, i, i, i, l], conv5
@@ -278,7 +272,7 @@ class TestShortEncoderPath:
 
     def test_full_scale(self, monkeypatch):
         spec, params = drawn_generator(128, 1.0, np.float32)
-        frame = Tensor(np.random.default_rng(7).uniform(-1, 1, (1, 3, 128, 128)))
+        frame = np.random.default_rng(7).uniform(-1, 1, (1, 3, 128, 128))
         short, _ = assert_forwards_bitwise_equal(
             spec, params, duplicate_frame(frame, 32), "train", monkeypatch)
         assert short[0] == 3
@@ -308,18 +302,9 @@ class TestForwardDiscriminator:
         assert feats[1].shape == (2, 32, 4, 8, 8)     # conv4 tap
 
     def test_tap_shapes_full_width_formula(self):
-        spec = build_discriminator(128)
-        assert spec.layer("conv1").out_shape == (32, 32, 64, 64)
-        assert spec.layer("conv3").out_shape == (128, 8, 16, 16)
-
-    def test_out_of_range_clamped_with_warning(self, caplog):
-        spec = build_discriminator(64, 0.125)
-        params = ops.init_parameters(spec, 1)
-        v = Tensor(np.full((1, 3, 32, 64, 64), 1.2, dtype=np.float32))
-        with caplog.at_level("WARNING"):
-            score, _ = forward_discriminator(spec, params, v)
-        assert any("clamping" in r.message for r in caplog.records)
-        assert np.all(np.isfinite(score.values))
+        layers = {l.name: l for l in build_discriminator(128).layers}
+        assert layers["conv1"].out_shape == (32, 32, 64, 64)
+        assert layers["conv3"].out_shape == (128, 8, 16, 16)
 
 
 class TestEndToEnd:
@@ -337,7 +322,7 @@ class TestEndToEnd:
             score, _ = forward_discriminator(dspec, dp, y)
             return T.log(score).sum()
 
-        err = T.grad_check(f, Tensor(x0, dtype=np.float64), step=1e-5,
+        err = grad_check(f, Tensor(x0), step=1e-5,
                            floor=1e-3, sample=6, rng=np.random.default_rng(0))
         assert err < 1e-4
 

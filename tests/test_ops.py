@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import desk_config
+from gradcheck import grad_check
 from lapsegan import ops, tensor as T
 from lapsegan.errors import ContractError, DimensionError
 from lapsegan.ops import BatchNormState, ConvParams
@@ -69,9 +70,9 @@ class TestConv3d:
         out = ops.conv3d(x, w, b, p)
         assert out.shape == (1, 1, 1, 1, 1)
         assert out.item() == 8.0
-        err_x = T.grad_check(lambda v: ops.conv3d(v, t64(w.values), t64(b.values), p).sum(), x)
-        err_w = T.grad_check(lambda v: ops.conv3d(t64(x.values), v, t64(b.values), p).sum(), w)
-        err_b = T.grad_check(lambda v: ops.conv3d(t64(x.values), t64(w.values), v, p).sum(), b)
+        err_x = grad_check(lambda v: ops.conv3d(v, t64(w.values), t64(b.values), p).sum(), x)
+        err_w = grad_check(lambda v: ops.conv3d(t64(x.values), v, t64(b.values), p).sum(), w)
+        err_b = grad_check(lambda v: ops.conv3d(t64(x.values), t64(w.values), v, p).sum(), b)
         assert max(err_x, err_w, err_b) < 1e-6
 
     def test_matches_loop_oracle(self):
@@ -94,9 +95,9 @@ class TestConv3d:
         def sq(v):
             return (v * v).sum()
 
-        assert T.grad_check(lambda v: sq(ops.conv3d(v, w, b, p)), x) < 1e-5
-        assert T.grad_check(lambda v: sq(ops.conv3d(x, v, b, p)), w) < 1e-5
-        assert T.grad_check(lambda v: sq(ops.conv3d(x, w, v, p)), b) < 1e-5
+        assert grad_check(lambda v: sq(ops.conv3d(v, w, b, p)), x) < 1e-5
+        assert grad_check(lambda v: sq(ops.conv3d(x, v, b, p)), w) < 1e-5
+        assert grad_check(lambda v: sq(ops.conv3d(x, w, v, p)), b) < 1e-5
 
     def test_channel_mismatch(self):
         p = ConvParams(2, (1, 1, 1))
@@ -161,9 +162,9 @@ class TestDeconv3d:
         def sq(v):
             return (v * v).sum()
 
-        assert T.grad_check(lambda v: sq(ops.deconv3d(v, w, b, p)), x) < 1e-5
-        assert T.grad_check(lambda v: sq(ops.deconv3d(x, v, b, p)), w) < 1e-5
-        assert T.grad_check(lambda v: sq(ops.deconv3d(x, w, v, p)), b) < 1e-5
+        assert grad_check(lambda v: sq(ops.deconv3d(v, w, b, p)), x) < 1e-5
+        assert grad_check(lambda v: sq(ops.deconv3d(x, v, b, p)), w) < 1e-5
+        assert grad_check(lambda v: sq(ops.deconv3d(x, w, v, p)), b) < 1e-5
 
     def test_empty_output(self):
         p = ConvParams(1, (1, 1, 1), (1, 1, 1), (1, 1, 1), transposed=True)
@@ -259,9 +260,9 @@ class TestBatchNorm:
             out = ops.batchnorm3d(xv, st, "train", update_running=False)
             return (out * probe + out * out * probe).sum()
 
-        err_x = T.grad_check(lambda v: run(v, t64(gamma0), t64(beta0)), x)
-        err_g = T.grad_check(lambda v: run(t64(x.values), v, t64(beta0)), t64(gamma0))
-        err_b = T.grad_check(lambda v: run(t64(x.values), t64(gamma0), v), t64(beta0))
+        err_x = grad_check(lambda v: run(v, t64(gamma0), t64(beta0)), x)
+        err_g = grad_check(lambda v: run(t64(x.values), v, t64(beta0)), t64(gamma0))
+        err_b = grad_check(lambda v: run(t64(x.values), t64(gamma0), v), t64(beta0))
         assert max(err_x, err_g, err_b) < 1e-5
 
     def test_inference_backward_matches_finite_differences(self):
@@ -274,7 +275,7 @@ class TestBatchNorm:
             st.running_var[:] = [1.5, 0.7]
             return (ops.batchnorm3d(xv, st, "inference") * ops.batchnorm3d(xv, st, "inference")).sum()
 
-        assert T.grad_check(run, x) < 1e-5
+        assert grad_check(run, x) < 1e-5
 
     def test_singleton_train_set_rejected(self):
         st = make_bn_state(3)
@@ -305,14 +306,14 @@ class TestActivations:
         x = t64([0.0], rg=True)
         T.backward(ops.activation("tanh", x).sum())
         assert_allclose(x.grad, [1.0], rtol=1e-12)
-        assert T.grad_check(lambda v: ops.activation("tanh", v).sum(), t64([0.0])) < 1e-6
+        assert grad_check(lambda v: ops.activation("tanh", v).sum(), t64([0.0])) < 1e-6
 
     @pytest.mark.parametrize("kind", ["leaky_relu", "relu", "tanh", "sigmoid"])
     def test_gradcheck(self, kind):
         rng = np.random.default_rng(12)
         x = Tensor(rng.standard_normal(40) + np.where(rng.random(40) < 0.5, -0.5, 0.5))
         x = t64(x.values)  # away from kinks by construction offset
-        err = T.grad_check(lambda v: (ops.activation(kind, v)
+        err = grad_check(lambda v: (ops.activation(kind, v)
                                       * ops.activation(kind, v)).sum(), x)
         assert err < 1e-5
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from gradcheck import grad_check
 from lapsegan import ops
 from lapsegan import tensor as T
 from lapsegan.errors import ContractError, DimensionError, DomainError, IntegrityError
@@ -47,11 +48,11 @@ class TestElementwise:
         assert abs(T.log1p(x).item() - np.exp(-50.0)) < 1e-30
         with pytest.raises(DomainError):
             T.log1p(f64([-1.0]))
-        assert T.grad_check(lambda t: T.log1p(t).sum(), f64([0.3, -0.4])) < 1e-6
+        assert grad_check(lambda t: T.log1p(t).sum(), f64([0.3, -0.4])) < 1e-6
 
     def test_abs_backward_at_minus_two(self):
         # central finite-difference oracle, f64
-        err = T.grad_check(lambda x: T.abs_(x).sum(), f64([-2.0]), step=1e-5)
+        err = grad_check(lambda x: T.abs_(x).sum(), f64([-2.0]), step=1e-5)
         assert err < 1e-6
         x = f64([-2.0], requires_grad=True)
         T.backward(T.abs_(x).sum())
@@ -85,7 +86,7 @@ class TestReduce:
         x = f64(np.array([[1.0, 2.0], [3.0, 5.0]]), requires_grad=True)
         T.backward(x.mean())
         assert_allclose(x.grad, np.full((2, 2), 0.25))
-        err = T.grad_check(lambda t: t.mean(), x, step=1e-5)
+        err = grad_check(lambda t: t.mean(), x, step=1e-5)
         assert err < 1e-6
 
     def test_invalid_axis(self):
@@ -121,7 +122,7 @@ class TestShapeOps:
         assert_array_equal(out.values, x)
 
     def test_transpose_backward(self):
-        err = T.grad_check(
+        err = grad_check(
             lambda t: (t.transpose((1, 0)) * t.transpose((1, 0))).sum(),
             f64(np.random.default_rng(0).standard_normal((3, 2))),
         )
@@ -159,10 +160,10 @@ class TestMatmulBatched:
         out = T.matmul_batched(f64(a), f64(b))
         assert_allclose(out.values, matmul_oracle(a, b), atol=1e-10)
         # both backward paths against finite differences
-        errA = T.grad_check(
+        errA = grad_check(
             lambda t: (T.matmul_batched(t, f64(b)) * T.matmul_batched(t, f64(b))).sum(),
             f64(a))
-        errB = T.grad_check(
+        errB = grad_check(
             lambda t: (T.matmul_batched(f64(a), t) * T.matmul_batched(f64(a), t)).sum(),
             f64(b))
         assert errA < 1e-6 and errB < 1e-6
@@ -300,14 +301,14 @@ class TestGradCheck:
     def test_sum_error_exactly_zero(self):
         # dyadic inputs and a power-of-two step make central differences exact
         x = f64([1.0, 2.5, -3.25])
-        err = T.grad_check(lambda t: t.sum(), x, step=2.0 ** -16)
+        err = grad_check(lambda t: t.sum(), x, step=2.0 ** -16)
         assert err == 0.0
 
     def test_l1_away_from_kinks(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal(6) + 3.0  # keep |a - b| away from 0
         b = rng.standard_normal(6) - 3.0
-        err = T.grad_check(lambda t: T.abs_(t - f64(b)).sum(), f64(a), step=1e-5)
+        err = grad_check(lambda t: T.abs_(t - f64(b)).sum(), f64(a), step=1e-5)
         assert err < 1e-6
 
     def test_composite_gram_l1_log_chain(self):
@@ -318,12 +319,12 @@ class TestGradCheck:
             g = T.matmul_batched(t, t.transpose((0, 2, 1))).sum(axes=0) * (1.0 / 12.0)
             return T.log(T.abs_(g).sum() + 1.0)
 
-        assert T.grad_check(f, f64(h), step=1e-5) < 1e-5
+        assert grad_check(f, f64(h), step=1e-5) < 1e-5
 
     def test_sampled_probing(self):
         rng = np.random.default_rng(2)
         x = f64(rng.standard_normal(64))
-        err = T.grad_check(lambda t: (t * t).sum(), x, sample=8,
+        err = grad_check(lambda t: (t * t).sum(), x, sample=8,
                            rng=np.random.default_rng(0))
         assert err < 1e-6
 

@@ -724,7 +724,7 @@ class TestGenerate:
                        .astype(np.float32))
         video = generate_video(ckpt, frame)
         with no_grad():
-            want = duplicate_frame(frame, CLIP_FRAMES)
+            want = duplicate_frame(frame.values, CLIP_FRAMES)
             for stage, net in ((1, "g1"), (2, "g2")):
                 want = forward_generator(build_generator(stage, 64, 0.125),
                                          ckpt.params[net], want, "train",
