@@ -213,7 +213,11 @@ def _bn_state(params, name):
 def _apply_layer(layer, params, x, mode, update_running, frames=None):
     """Conv or deconv, then batch norm and activation. With ``frames`` (see
     ``_short_clip``) the conv reads only those input frames and its
-    [first, interior, last] output is repeated back to full length."""
+    [first, interior, last] output is repeated back to full length.
+
+    Batch norm and the activation write over the conv output's array, a new
+    one that no backward reads, so the tape keeps one array per layer besides
+    what backward reads; D's sigmoid score makes its own."""
     w = params.tensors[f"{layer.name}.weight"]
     b = params.tensors[f"{layer.name}.bias"]
     op = deconv3d if layer.params.transposed else conv3d
@@ -226,9 +230,9 @@ def _apply_layer(layer, params, x, mode, update_running, frames=None):
         out = Tensor(np.repeat(out.values, (1, layer.out_shape[1] - 2, 1), axis=2))
     if layer.batch_norm:
         out = batchnorm3d(out, _bn_state(params, layer.name), mode,
-                          update_running=update_running)
+                          update_running=update_running, _in_place=True)
     if layer.activation is not None:
-        out = activation(layer.activation, out)
+        out = activation(layer.activation, out, _in_place=True)
     return out
 
 

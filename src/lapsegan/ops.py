@@ -45,6 +45,16 @@ worker, reused job after job: at most one column block per worker is in
 flight. Workers never make a ``Tensor`` or touch the tape, so they never
 read ``tensor.no_grad``'s state, which is per thread and not inherited.
 
+Backward never reads the input of batch norm or of an activation: it reads
+a conv's input and weight, batch norm's ``xhat`` and ``inv_std``, a
+leaky_relu or relu mask, a tanh or sigmoid output. So both may write their
+output over their input's array (``_in_place``, which only
+``models._apply_layer`` sets, on the conv output it has just made; sigmoid
+always makes a new array); without it they leave their input alone. Their
+backwards and those of conv3d and deconv3d hand the input and weight
+gradients they have just built to ``_accumulate`` as fresh, to be adopted
+rather than copied.
+
 The rearrangement works on a stride-phase grid (space-to-depth, Shi et al.,
 arXiv:1609.07009): the zero-padded volume is stored as
 (N, C, st, sh, sw, Tq, Hq, Wq), phase (i, j, l) holding every padded voxel
@@ -357,7 +367,7 @@ def _weight_gradient(weight, lhs, grid, params, windows):
     _run(job, [(ch, i) for ch in blocks for i in range(n)],
          [(widest * positions, grid.dtype), (rows * widest if n > 1 else 0, dw.dtype)],
          done)
-    _accumulate(weight, dw.reshape(weight.values.shape))
+    _accumulate(weight, dw.reshape(weight.values.shape), fresh=True)
 
 
 def _check_volume(x, what):
@@ -403,7 +413,7 @@ def conv3d(x, weight, bias, params):
                              out_spatial)
         if x.requires_grad:
             _accumulate(x, _correlate_adjoint(w_mat, g_mat, c_in, params, out_spatial,
-                                              in_spatial))
+                                              in_spatial), fresh=True)
 
     return Tensor._from_op(out, (x, weight, bias), backward, "conv3d")
 
@@ -431,7 +441,8 @@ def deconv3d(x, weight, bias, params):
         if weight.requires_grad:
             _weight_gradient(weight, x_mat, grid, params, in_spatial)
         if x.requires_grad:
-            _accumulate(x, _correlate(w_mat, grid, params, in_spatial).reshape(x.values.shape))
+            _accumulate(x, _correlate(w_mat, grid, params, in_spatial).reshape(x.values.shape),
+                        fresh=True)
 
     return Tensor._from_op(out, (x, weight, bias), backward, "deconv3d")
 
@@ -453,13 +464,15 @@ class BatchNormState:
                                  "with both running statistics or neither")
 
 
-def batchnorm3d(x, state, mode, update_running=True):
+def batchnorm3d(x, state, mode, update_running=True, _in_place=False):
     """Per-channel batch normalization over the (N,T,H,W) axes.
 
     train mode normalizes with batch statistics (differentiable through
     them) and, if ``update_running``, folds them into the running averages
     with weight ``BN_MOMENTUM``; inference mode uses the stored running
-    statistics. Either adds ``BN_EPS`` to the variance.
+    statistics. Either adds ``BN_EPS`` to the variance. The private
+    ``_in_place`` writes the output over ``x.values`` (see the module
+    docstring).
     """
     _check_volume(x, "batchnorm3d input")
     if mode not in ("train", "inference"):
@@ -481,7 +494,8 @@ def batchnorm3d(x, state, mode, update_running=True):
         centered = x.values - mu[None, :, None, None, None]
         var = np.mean(centered * centered, axis=axes)
         inv_std = 1.0 / np.sqrt(var + x.values.dtype.type(BN_EPS))
-        xhat = centered * inv_std[None, :, None, None, None]
+        xhat = centered
+        xhat *= inv_std[None, :, None, None, None]
         if update_running:
             w = BN_MOMENTUM
             state.running_mean *= 1.0 - w
@@ -509,38 +523,42 @@ def batchnorm3d(x, state, mode, update_running=True):
         if gamma.requires_grad:
             _accumulate(gamma, (g * xhat).sum(axis=axes))
         if x.requires_grad:
-            _accumulate(x, input_gradient(g))
+            _accumulate(x, input_gradient(g), fresh=True)
 
-    out = xhat * gview + beta.values[None, :, None, None, None]
+    out = np.multiply(xhat, gview, out=x.values if _in_place else None)
+    out += beta.values[None, :, None, None, None]
     return Tensor._from_op(out, (x, gamma, beta), backward, "batchnorm3d")
 
 
-def activation(kind, x):
+def activation(kind, x, _in_place=False):
     """Elementwise nonlinearity. sigmoid stays strictly inside (0,1) and
-    tanh strictly inside (-1,1) even where float rounding would saturate."""
+    tanh strictly inside (-1,1) even where float rounding would saturate.
+    The private ``_in_place`` writes the output over ``x.values``, except
+    sigmoid's (see the module docstring)."""
     v = x.values
     dt = v.dtype
+    dest = v if _in_place else None
     if kind == "leaky_relu":
         # with 0 < slope < 1, max(v, slope*v) is v where v >= 0 and slope*v
         # elsewhere, NaN included, and max(mask, slope) is the per-element slope
         slope = dt.type(LEAKY_SLOPE)
         mask = v >= 0
-        out = np.maximum(v, slope * v)
+        out = np.maximum(v, slope * v, out=dest)
 
         def backward(g):
-            _accumulate(x, g * np.maximum(mask, slope))
+            _accumulate(x, g * np.maximum(mask, slope), fresh=True)
     elif kind == "relu":
-        out = np.maximum(v, dt.type(0))
         mask = v > 0
+        out = np.maximum(v, dt.type(0), out=dest)
 
         def backward(g):
-            _accumulate(x, g * mask)
+            _accumulate(x, g * mask, fresh=True)
     elif kind == "tanh":
-        out = np.clip(np.tanh(v), np.nextafter(dt.type(-1), dt.type(0)),
-                      np.nextafter(dt.type(1), dt.type(0)))
+        out = np.clip(np.tanh(v, out=dest), np.nextafter(dt.type(-1), dt.type(0)),
+                      np.nextafter(dt.type(1), dt.type(0)), out=dest)
 
         def backward(g):
-            _accumulate(x, g * (1.0 - out * out))
+            _accumulate(x, g * (1.0 - out * out), fresh=True)
     elif kind == "sigmoid":
         out = np.empty_like(v)
         pos = v >= 0
@@ -551,7 +569,7 @@ def activation(kind, x):
                 np.nextafter(dt.type(1), dt.type(0)), out=out)
 
         def backward(g):
-            _accumulate(x, g * out * (1.0 - out))
+            _accumulate(x, g * out * (1.0 - out), fresh=True)
     else:
         raise ContractError(f"unknown activation kind {kind!r}")
     return Tensor._from_op(out, (x,), backward, kind)

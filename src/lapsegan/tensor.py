@@ -10,7 +10,10 @@ every leaf that requires them. The tape is rebuilt on every forward pass
 node drops its closure and parent links, and its gradient too unless it is a
 leaf or the root, so the activations and gradients that nothing below it
 still needs are freed during the walk. A graph runs backward once; a second
-``backward`` over a consumed node raises ``ContractError``.
+``backward`` over a consumed node raises ``ContractError``. A node's first
+gradient adopts an array its op's backward has just built rather than
+copying it (``_accumulate``'s ``fresh``); ops that pass one upstream array to
+several parents, or a view of it, still copy.
 
 Axis convention is row-major (N, C, T, H, W) with a leading batch axis.
 Training runs at float32; gradient checking runs at float64.
@@ -56,9 +59,13 @@ class Tensor:
     """N-d real array with an optional gradient slot.
 
     ``values`` is treated as immutable once wrapped (the optimizer mutates
-    leaf parameters only between passes); ``grad`` mutates by accumulation
-    during backward. The embedded graph node is the triple
-    (``_op`` tag, ``_parents`` refs, ``_backward`` closure).
+    leaf parameters only between passes), with one exception: inside one
+    layer, ``models._apply_layer`` has batch norm and the activation write
+    their outputs over the conv output's array, which no backward reads.
+    ``grad`` mutates by accumulation during backward; a first gradient may
+    be an array an op has just built, adopted rather than copied. The
+    embedded graph node is the triple (``_op`` tag, ``_parents`` refs,
+    ``_backward`` closure).
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward", "_op")
@@ -149,10 +156,17 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(t, g):
+def _accumulate(t, g, fresh=False):
+    """Add ``g`` into ``t``'s gradient. ``fresh`` marks an array the caller
+    has just built and nothing else holds: a first gradient adopts it when
+    its dtype, shape and C layout already match the values', instead of
+    copying it."""
     if t.requires_grad:
         if t.grad is None:  # 0 + g in one pass: -0.0 becomes +0.0, as in a zeroed sum
-            t.grad = np.add(g, t.values.dtype.type(0), out=np.empty_like(t.values))
+            adopt = (fresh and g.dtype == t.values.dtype and g.shape == t.values.shape
+                     and g.flags.c_contiguous and t.values.flags.c_contiguous)
+            t.grad = np.add(g, t.values.dtype.type(0),
+                            out=g if adopt else np.empty_like(t.values))
         else:
             t.grad += g
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -198,6 +200,70 @@ class TestForwardGenerator:
         with pytest.raises(DimensionError):
             forward_generator(spec, params,
                               Tensor(np.zeros((1, 3, 32, 32, 32), dtype=np.float32)))
+
+
+def _layer_bytes(spec, batch):
+    """Bytes a taped generator forward must keep for backward, from the
+    layer shapes: each conv's input (past the first, whose input the caller
+    holds), batch norm's xhat, one byte per leaky_relu/relu mask element and
+    tanh's output, at float32."""
+    total, in_shape = 0, None
+    for layer in spec.layers:
+        out = batch * int(np.prod(layer.out_shape))
+        total += 4 * batch * int(np.prod(in_shape)) if in_shape else 0
+        total += 4 * out if layer.batch_norm else 0
+        total += {"leaky_relu": 1, "relu": 1, "tanh": 4}.get(layer.activation, 0) * out
+        in_shape = layer.out_shape
+    return total
+
+
+def _gradients(spec, params, x, monkeypatch, in_place):
+    if not in_place:  # the layers' batch norm and activation on fresh arrays
+        monkeypatch.setattr(models, "batchnorm3d",
+                            lambda *a, _in_place, **k: ops.batchnorm3d(*a, **k))
+        monkeypatch.setattr(models, "activation",
+                            lambda *a, _in_place: ops.activation(*a))
+    params = params.clone()
+    if spec.kind == "generator":
+        out = forward_generator(spec, params, x)
+    else:
+        score, feats = forward_discriminator(spec, params, x)
+        out = T.log(score).sum() + feats[1].mean()
+    T.backward(out.sum())
+    monkeypatch.undo()
+    return {k: t.grad.tobytes() for k, t in params.tensors.items()}, params.buffers
+
+
+class TestTape:
+    def test_taped_forward_keeps_what_backward_reads(self):
+        # the layers used to keep every conv, batch-norm and activation output
+        # as well: 2.1 times the bytes below
+        spec, params = tiny_generator()
+        x = Tensor(np.random.default_rng(3).uniform(-1, 1, (2,) + spec.input_shape)
+                   .astype(np.float32))
+        forward_generator(spec, params, x)  # first-use allocations outside the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = forward_generator(spec, params, x)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= 1.2 * _layer_bytes(spec, 2)
+
+    @pytest.mark.parametrize("kind", ["generator", "discriminator"])
+    def test_in_place_layers_keep_gradient_bits(self, kind, monkeypatch):
+        spec = build_generator(1, 64, 0.125) if kind == "generator" \
+            else build_discriminator(64, 0.125)
+        params = ops.init_parameters(spec, 4)
+        x = Tensor(np.random.default_rng(6).uniform(-1, 1, (2,) + spec.input_shape)
+                   .astype(np.float32))
+        grads, buffers = _gradients(spec, params, x, monkeypatch, in_place=True)
+        want, want_buffers = _gradients(spec, params, x, monkeypatch, in_place=False)
+        assert grads == want
+        assert {k: b.tobytes() for k, b in buffers.items()} == \
+            {k: b.tobytes() for k, b in want_buffers.items()}
 
 
 def drawn_generator(resolution, width, dtype, seed=0):

@@ -830,3 +830,52 @@ class TestLeakyReluMask:
         assert x.grad.tobytes() == want.tobytes()
         assert out.values.tobytes() == np.where(
             v >= 0, v, dtype(ops.LEAKY_SLOPE) * v).tobytes()
+
+
+def _bn_or_activation(kind, x, in_place):
+    """One batch norm (train or inference) or activation over ``x``, with a
+    gamma and running statistics away from their defaults."""
+    if kind.startswith("bn_"):
+        c = x.shape[1]
+        st = make_bn_state(c, np.float32, gamma=np.linspace(0.5, 1.5, c),
+                           beta=np.linspace(-0.2, 0.2, c))
+        st.running_mean[:] = 0.3
+        st.running_var[:] = 2.0
+        return ops.batchnorm3d(x, st, kind[3:], update_running=False, _in_place=in_place)
+    return ops.activation(kind, x, _in_place=in_place)
+
+
+OP_KINDS = ["bn_train", "bn_inference", "leaky_relu", "relu", "tanh", "sigmoid"]
+
+
+class TestInPlace:
+    """The public ops leave their input's array alone (lapsebench's layer
+    pass and every direct caller rely on it); ``_in_place``, which only
+    ``models._apply_layer`` sets, gives the same output and gradient bits
+    in the input's array, except for sigmoid, which always makes its own."""
+
+    @staticmethod
+    def volume(seed=4):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((2, 3, 2, 4, 4)).astype(np.float32) * 3.0
+        v[0, 0, 0, 0, :3] = (0.0, -0.0, 1e-45)
+        return v
+
+    @pytest.mark.parametrize("kind", OP_KINDS)
+    def test_public_op_leaves_input_unchanged(self, kind):
+        x = Tensor(self.volume(), requires_grad=True)
+        out = _bn_or_activation(kind, x, in_place=False)
+        assert x.values.tobytes() == self.volume().tobytes()
+        assert not np.shares_memory(out.values, x.values)
+
+    @pytest.mark.parametrize("kind", OP_KINDS)
+    def test_in_place_keeps_output_and_gradient_bits(self, kind):
+        g = np.random.default_rng(5).standard_normal((2, 3, 2, 4, 4)).astype(np.float32)
+        results = []
+        for in_place in (False, True):
+            x = Tensor(self.volume(), requires_grad=True)
+            out = _bn_or_activation(kind, x, in_place)
+            assert (out.values is x.values) == (in_place and kind != "sigmoid")
+            out._backward(g)
+            results.append((out.values.tobytes(), x.grad.tobytes()))
+        assert results[0] == results[1]

@@ -3,6 +3,7 @@ import io
 import struct
 import threading
 import weakref
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -295,6 +296,53 @@ class TestAccumulate:
         t = Tensor(np.asfortranarray(np.ones((3, 5), np.float32)), requires_grad=True)
         T._accumulate(t, np.full((3, 5), 2.0, np.float32))
         assert t.grad.flags.f_contiguous
+
+    def test_adopted_negative_zero_becomes_positive(self):
+        g = np.float32([-0.0, 0.0, -1.5, -0.0])
+        copied = Tensor(np.ones(4, np.float32), requires_grad=True)
+        adopted = Tensor(np.ones(4, np.float32), requires_grad=True)
+        want = self.zero_plus(adopted.values, g)
+        T._accumulate(copied, g.copy())
+        T._accumulate(adopted, g, fresh=True)
+        assert adopted.grad is g
+        assert adopted.grad.tobytes() == copied.grad.tobytes() == want.tobytes()
+        assert not np.signbit(adopted.grad[[0, 3]]).any()
+
+    @pytest.mark.parametrize("case", ["float64", "strided", "fortran_leaf"])
+    def test_fresh_mismatch_copies(self, case):
+        leaf = np.zeros((2, 3), np.float32)
+        g = np.arange(6, dtype=np.float32).reshape(2, 3) - 2.0
+        if case == "float64":
+            g = g.astype(np.float64)
+        elif case == "strided":
+            g = np.repeat(g, 2, axis=1)[:, ::2]
+        else:
+            leaf = np.asfortranarray(leaf)
+        t = Tensor(leaf, requires_grad=True)
+        T._accumulate(t, g, fresh=True)
+        assert not np.shares_memory(t.grad, g)
+        assert t.grad.dtype == np.float32 and t.grad.flags.c_contiguous == (case != "fortran_leaf")
+        assert t.grad.tobytes("A") == self.zero_plus(t.values, g).tobytes("A")
+
+    def test_add_parents_get_separate_gradients(self):
+        a = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        b = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        T.backward(T.exp(T.add(a, b)).sum())
+        assert not np.shares_memory(a.grad, b.grad)
+        assert_array_equal(a.grad, b.grad)
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["conv3d", "deconv3d"])
+    def test_conv_gradients_share_no_memory(self, transposed):
+        rng = np.random.default_rng(3)
+        params = ops.ConvParams(4, (3, 3, 3), (2, 2, 2), (1, 1, 1), transposed=transposed)
+        x = Tensor(rng.standard_normal((2, 3, 4, 6, 6)).astype(np.float32), requires_grad=True)
+        wshape = (3, 4, 3, 3, 3) if transposed else (4, 3, 3, 3, 3)
+        w = Tensor(rng.standard_normal(wshape).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(4, np.float32), requires_grad=True)
+        out = (ops.deconv3d if transposed else ops.conv3d)(x, w, b, params)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        out._backward(g)
+        assert not any(np.shares_memory(a, b) for a, b in combinations((x.grad, w.grad, g), 2))
 
 
 class TestGradCheck:
