@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .ops import (BatchNormState, ConvParams, activation, batchnorm3d, conv3d,
                   conv_output_shape, deconv3d, deconv_output_shape)
-from .tensor import Tensor, recording
+from .tensor import Tensor, add, recording
 
 CLIP_FRAMES = 32  # temporal extent of every video the networks see
 RESOLUTIONS = (128, 64)  # frame sizes the networks are built for
@@ -260,7 +260,8 @@ def forward_generator(spec, params, x, mode="train", update_running=True):
     cur = x
     for layer in spec.layers:
         if layer.name in spec.skip_map:
-            cur = cur + cache.pop(spec.skip_map[layer.name])
+            # into the decoder's relu output: its backward reads the mask
+            cur = add(cur, cache.pop(spec.skip_map[layer.name]), _in_place=True)
         frames = _short_clip(layer, cur.shape[2], cur is x) if short else None
         short = frames is not None
         cur = _apply_layer(layer, params, cur, mode, update_running, frames)

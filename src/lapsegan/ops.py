@@ -28,17 +28,22 @@ scattered as soon as it is computed. Channels share no voxel, so every voxel
 still receives its taps in (kt, kh, kw) order. This keeps the bits only
 while BLAS computes a block as it computes the same rows or columns of the
 whole product; OpenBLAS runs small products on other kernels, so blocks are
-balanced, the fewest that fit the bound with lengths that differ by at most
-one index, and never a small remainder. A product of one weight row (a
-single filter's forward or dW) is a matrix-vector product, whose bits
-OpenBLAS's gemv changes with the number of outputs one call covers, so it
-stays one block.
+balanced, with lengths that differ by at most one index, and never a small
+remainder. A product of one weight row (a single filter's forward or dW) is
+a matrix-vector product, whose bits OpenBLAS's gemv changes with the number
+of outputs one call covers, so it stays one block.
 
 Each (sample, block) pair is one job, and ``_run`` runs the jobs of an op on
-a pool with one thread per CPU (one job, or one CPU, runs inline). A job's
-GEMM is the call the batched matmul makes for that sample, and each job
-writes only its own slice of an array the calling thread made, so the bits
-do not depend on the number of threads or on which job finishes first.
+a pool with one thread per CPU (one job, or one CPU, runs inline). An op
+takes the fewest blocks that fit ``_BLOCK``, unless its jobs would then
+leave a worker idle in their last round, as one job or three do on two
+workers at batch 1. ``_blocks`` then takes the next block count that makes
+the jobs a multiple of the worker count, if every block still holds at
+least ``_MIN_WORK`` multiply-adds, a product large enough that OpenBLAS
+computes it on the kernels of the whole. A job's GEMM is the call the
+batched matmul makes for that sample, and each job writes only its own
+slice of an array the calling thread made, so the bits depend neither on
+the number of workers nor on which job finishes first.
 ``_weight_gradient``'s calling thread adds the samples' products in sample
 order. The calling thread also makes every buffer a job uses, one set per
 worker, reused job after job: at most one column block per worker is in
@@ -88,6 +93,15 @@ BN_MOMENTUM = 0.1  # weight of the new batch statistic
 # there lowered glibc's trim threshold below a generate's heap churn, which
 # then faulted in fresh pages on every call.
 _BLOCK = 6 << 20
+# Multiply-adds every block keeps when ``_blocks`` raises an op's block count
+# to fill the pool. OpenBLAS runs small products on other kernels, whose bits
+# for a block can differ from those of the same rows or columns of the whole
+# product: with no floor, splits changed float32 outputs by 1 ulp. At 2**21
+# desk-scale (64x64, width 1/8) generation split its middle layers as well,
+# and evaluate, whose scoring thread its jobs compete with, lost 16%; at
+# 2**23 only its outer two layers on each side split, into halves of 1 to 1.5
+# times that.
+_MIN_WORK = 1 << 23
 # Pool threads: one per CPU this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else os.cpu_count() or 1
@@ -177,12 +191,22 @@ def _offsets(params, origins):
             (slice(None), slice(None), pa, pb, pd, oa, ob, od)
 
 
-def _blocks(extent, unit, split=True):
+def _blocks(extent, unit, samples, work, split=True):
     """Split ``range(extent)`` into the fewest blocks of at most ``_BLOCK``
     elements, ``unit`` elements per index and one index at least, as slices
     whose lengths differ by at most one: no block is a small remainder.
-    ``split=False`` keeps one block."""
-    count = -(-extent // max(1, _BLOCK // unit)) if split else 1
+    ``split=False`` keeps one block. When one job per block and each of
+    ``samples`` samples would leave a worker idle in the last round, the
+    count rises to the next that makes the jobs a multiple of ``_WORKERS``,
+    if every block then keeps ``_MIN_WORK`` multiply-adds at ``work`` per
+    index of one sample's product."""
+    if not split:
+        return [slice(0, extent)]
+    count = filled = -(-extent // max(1, _BLOCK // unit))
+    while samples * filled % _WORKERS:
+        filled += 1
+    if filled <= extent and extent // filled * work >= _MIN_WORK:
+        count = filled
     return [slice(extent * i // count, extent * (i + 1) // count) for i in range(count)]
 
 
@@ -279,7 +303,8 @@ def _correlate(w_mat, grid, params, windows):
     n = grid.shape[0]
     to, ho, wo = windows
     out = np.empty((n, w_mat.shape[0], to * ho * wo), np.result_type(w_mat, grid))
-    frames = _blocks(to, n * w_mat.shape[1] * ho * wo, split=len(w_mat) > 1)
+    frames = _blocks(to, n * w_mat.shape[1] * ho * wo, n, w_mat.size * ho * wo,
+                     split=len(w_mat) > 1)
     widest = max(f.stop - f.start for f in frames)
 
     def job(scratch, i, f):
@@ -316,7 +341,7 @@ def _correlate_adjoint(w_mat, g_mat, channels, params, windows, spatial):
     n, _, positions = g_mat.shape
     k = int(np.prod(params.kernel))
     v = np.empty((n, channels) + tuple(spatial), dtype=g_mat.dtype)
-    blocks = _blocks(channels, n * k * positions)
+    blocks = _blocks(channels, n * k * positions, n, len(w_mat) * k * positions)
     widest = max(ch.stop - ch.start for ch in blocks)
     extents, _ = _phase_layout(spatial, params)
     phases = int(np.prod(params.stride)) * int(np.prod(extents))
@@ -346,7 +371,7 @@ def _weight_gradient(weight, lhs, grid, params, windows):
     rows, positions = lhs.shape[1:]
     origins = tuple(range(e) for e in windows)
     dw = np.empty((rows, c * k), np.result_type(lhs, grid))
-    blocks = _blocks(c, n * k * positions, split=rows > 1)
+    blocks = _blocks(c, n * k * positions, n, rows * k * positions, split=rows > 1)
     widest = max(ch.stop - ch.start for ch in blocks) * k
 
     def job(scratch, ch, i):

@@ -59,9 +59,11 @@ class Tensor:
     """N-d real array with an optional gradient slot.
 
     ``values`` is treated as immutable once wrapped (the optimizer mutates
-    leaf parameters only between passes), with one exception: inside one
-    layer, ``models._apply_layer`` has batch norm and the activation write
-    their outputs over the conv output's array, which no backward reads.
+    leaf parameters only between passes), with two exceptions, each onto an
+    array no backward reads: inside one layer, ``models._apply_layer`` has
+    batch norm and the activation write their outputs over the conv
+    output's array, and ``models.forward_generator`` adds each skip into
+    the decoder activation it joins.
     ``grad`` mutates by accumulation during backward; a first gradient may
     be an array an op has just built, adopted rather than copied. The
     embedded graph node is the triple (``_op`` tag, ``_parents`` refs,
@@ -189,10 +191,12 @@ def _binary_operands(a, b):
 # -- elementwise ops ----------------------------------------------------
 
 
-def add(a, b):
+def add(a, b, _in_place=False):
+    """Elementwise sum. The private ``_in_place`` writes it over
+    ``a.values``, which the caller guarantees no backward reads."""
     a = as_tensor(a)
     bt, bv = _binary_operands(a, b)
-    out = a.values + bv
+    out = np.add(a.values, bv, out=a.values if _in_place else None)
 
     def backward(g):
         _accumulate(a, g)

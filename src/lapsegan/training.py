@@ -360,7 +360,9 @@ def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, train_sh
     objective); ``objective(y, x)`` returns the loss that network descends and
     a dict of its ``LossReport`` terms. Each phase draws its own batch, and
     while it runs the other phase's network does not require grad, so
-    backward computes no gradient that Adam would discard.
+    backward computes no gradient that Adam would discard. A phase that
+    diverges raises ``TrainingDiverged`` with every network's parameters,
+    Adam state and batch-norm running statistics as they were before it.
     Checkpoints record ``train_sha``, the hash of the store's train split.
     Returns (final Checkpoint, list of LossReports).
     """
@@ -374,6 +376,8 @@ def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, train_sh
                           for t in params[other].tensors.values()]
                 for t in frozen:
                     t.requires_grad = False
+                buffers = [(b, b.copy()) for ps in params.values()
+                           for b in ps.buffers.values()]
                 try:
                     y, x = load_batch(store, "train", cfg.batch_size, cfg.seed,
                                       2 * it + k)
@@ -384,6 +388,10 @@ def _alternate(store, cfg, out_dir, stage, start, params, adam, phases, train_sh
                     grads = {name: t.grad for name, t in params[net].tensors.items()
                              if t.grad is not None}
                     adam_step(params[net], grads, adam[net], cfg)
+                except TrainingDiverged:
+                    for b, saved in buffers:  # the forwards' running statistics
+                        b[...] = saved
+                    raise
                 finally:
                     for t in frozen:
                         t.requires_grad = True

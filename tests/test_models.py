@@ -218,11 +218,12 @@ def _layer_bytes(spec, batch):
 
 
 def _gradients(spec, params, x, monkeypatch, in_place):
-    if not in_place:  # the layers' batch norm and activation on fresh arrays
+    if not in_place:  # batch norm, activations and skip sums on fresh arrays
         monkeypatch.setattr(models, "batchnorm3d",
                             lambda *a, _in_place, **k: ops.batchnorm3d(*a, **k))
         monkeypatch.setattr(models, "activation",
                             lambda *a, _in_place: ops.activation(*a))
+        monkeypatch.setattr(models, "add", lambda *a, _in_place: T.add(*a))
     params = params.clone()
     if spec.kind == "generator":
         out = forward_generator(spec, params, x)
@@ -237,7 +238,8 @@ def _gradients(spec, params, x, monkeypatch, in_place):
 class TestTape:
     def test_taped_forward_keeps_what_backward_reads(self):
         # the layers used to keep every conv, batch-norm and activation output
-        # as well: 2.1 times the bytes below
+        # as well (2.1 times the bytes below), and each skip sum the decoder
+        # activation it was added to (1.17 times); 1.004 times remains
         spec, params = tiny_generator()
         x = Tensor(np.random.default_rng(3).uniform(-1, 1, (2,) + spec.input_shape)
                    .astype(np.float32))
@@ -250,7 +252,7 @@ class TestTape:
         finally:
             tracemalloc.stop()
         assert out.requires_grad
-        assert held <= 1.2 * _layer_bytes(spec, 2)
+        assert held <= 1.01 * _layer_bytes(spec, 2)
 
     @pytest.mark.parametrize("kind", ["generator", "discriminator"])
     def test_in_place_layers_keep_gradient_bits(self, kind, monkeypatch):

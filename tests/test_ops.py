@@ -665,58 +665,76 @@ def _net_layers(resolution, width):
     return seen
 
 
+# (resolution, width, batch, _BLOCK or None, check only the layers that split)
+LAYER_SETS = [(64, 1 / 8, 1, 1 << 21, False), (64, 1 / 8, 2, 1 << 21, False),
+              (128, 1 / 4, 2, None, False), (128, 1, 1, None, True)]
+
+
+def assert_blocks_match_whole_buffer(monkeypatch, resolution, width, batch, bound,
+                                     only_split):
+    if bound is not None:
+        monkeypatch.setattr(ops, "_BLOCK", bound)
+    blocks = []
+    real_im2col, real_col2im = ops._im2col, ops._col2im
+
+    def im2col(grid, params, origins, *buffers):
+        blocks.append(("gather", grid.shape[1], len(origins[0])))
+        return real_im2col(grid, params, origins, *buffers)
+
+    def col2im(cols, params, windows, out, *buffers):
+        blocks.append(("scatter", out.shape[1], None))
+        return real_col2im(cols, params, windows, out, *buffers)
+
+    monkeypatch.setattr(ops, "_im2col", im2col)
+    monkeypatch.setattr(ops, "_col2im", col2im)
+    rng = np.random.default_rng(resolution + batch)
+    split = {"frames": 0, "weight channels": 0, "adjoint channels": 0}
+    for params, c_in, c_out, spatial in _net_layers(resolution, width):
+        transposed = params.transposed
+        wshape = ((c_in, c_out) if transposed else (c_out, c_in)) + tuple(params.kernel)
+        x, w, b = (rng.standard_normal(s).astype(np.float32)
+                   for s in ((batch, c_in) + spatial, wshape, (c_out,)))
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        blocks.clear()
+        out = (ops.deconv3d if transposed else ops.conv3d)(xt, wt, bt, params)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        out._backward(g)
+        gathered, frames = (c_out, spatial[0]) if transposed else (c_in, out.shape[2])
+        scattered = c_out if transposed else c_in
+        layer_split = {
+            "frames": any(k == "gather" and t < frames for k, _, t in blocks),
+            "weight channels": any(k == "gather" and c < gathered for k, c, _ in blocks),
+            "adjoint channels": any(k == "scatter" and c < scattered for k, c, _ in blocks)}
+        for axis, did in layer_split.items():
+            split[axis] += did
+        if only_split and not any(layer_split.values()):
+            continue
+        want = (whole_deconv3d if transposed else whole_conv3d)(x, w, b, params, g)
+        for got, ref in zip((out.values, xt.grad, wt.grad, bt.grad), want):
+            assert got.dtype == ref.dtype == np.float32 and got.shape == ref.shape
+            assert np.array_equal(got, ref), (params, c_in, c_out, spatial)
+    assert all(split.values()), split
+
+
 class TestColumnBlocksMatchWholeBuffer:
     """conv3d/deconv3d, gathering and scattering columns a bounded block at
     a time, give bitwise the float32 output and gradients of the kernels that
     built each whole column buffer, on every layer of the networks. No 64x64
     layer reaches ``ops._BLOCK``, so those run under a bound they exceed."""
 
-    @pytest.mark.parametrize("resolution, width, batch, bound, only_split", [
-        (64, 1 / 8, 1, 1 << 21, False), (64, 1 / 8, 2, 1 << 21, False),
-        (128, 1 / 4, 2, None, False), (128, 1, 1, None, True)])
+    @pytest.mark.parametrize("resolution, width, batch, bound, only_split", LAYER_SETS)
     def test_network_layers(self, monkeypatch, resolution, width, batch, bound, only_split):
-        if bound is not None:
-            monkeypatch.setattr(ops, "_BLOCK", bound)
-        blocks = []
-        real_im2col, real_col2im = ops._im2col, ops._col2im
+        assert_blocks_match_whole_buffer(monkeypatch, resolution, width, batch, bound,
+                                         only_split)
 
-        def im2col(grid, params, origins, *buffers):
-            blocks.append(("gather", grid.shape[1], len(origins[0])))
-            return real_im2col(grid, params, origins, *buffers)
-
-        def col2im(cols, params, windows, out, *buffers):
-            blocks.append(("scatter", out.shape[1], None))
-            return real_col2im(cols, params, windows, out, *buffers)
-
-        monkeypatch.setattr(ops, "_im2col", im2col)
-        monkeypatch.setattr(ops, "_col2im", col2im)
-        rng = np.random.default_rng(resolution + batch)
-        split = {"frames": 0, "weight channels": 0, "adjoint channels": 0}
-        for params, c_in, c_out, spatial in _net_layers(resolution, width):
-            transposed = params.transposed
-            wshape = ((c_in, c_out) if transposed else (c_out, c_in)) + tuple(params.kernel)
-            x, w, b = (rng.standard_normal(s).astype(np.float32)
-                       for s in ((batch, c_in) + spatial, wshape, (c_out,)))
-            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-            blocks.clear()
-            out = (ops.deconv3d if transposed else ops.conv3d)(xt, wt, bt, params)
-            g = rng.standard_normal(out.shape).astype(np.float32)
-            out._backward(g)
-            gathered, frames = (c_out, spatial[0]) if transposed else (c_in, out.shape[2])
-            scattered = c_out if transposed else c_in
-            layer_split = {
-                "frames": any(k == "gather" and t < frames for k, _, t in blocks),
-                "weight channels": any(k == "gather" and c < gathered for k, c, _ in blocks),
-                "adjoint channels": any(k == "scatter" and c < scattered for k, c, _ in blocks)}
-            for axis, did in layer_split.items():
-                split[axis] += did
-            if only_split and not any(layer_split.values()):
-                continue
-            want = (whole_deconv3d if transposed else whole_conv3d)(x, w, b, params, g)
-            for got, ref in zip((out.values, xt.grad, wt.grad, bt.grad), want):
-                assert got.dtype == ref.dtype == np.float32 and got.shape == ref.shape
-                assert np.array_equal(got, ref), (params, c_in, c_out, spatial)
-        assert all(split.values()), split
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("resolution, width, batch, bound, only_split", LAYER_SETS)
+    def test_bits_independent_of_worker_count(self, monkeypatch, pool_of, workers,
+                                              resolution, width, batch, bound, only_split):
+        # the worker count sets how many blocks an op's products split into
+        pool_of(workers)
+        assert_blocks_match_whole_buffer(monkeypatch, resolution, width, batch, bound,
+                                         only_split)
 
 
 @pytest.fixture
@@ -744,13 +762,7 @@ class TestConcurrentJobs:
     def test_network_layers_batch_3(self, monkeypatch, pool_of):
         pool_of(8)
         monkeypatch.setattr(ops, "_BLOCK", 1 << 17)
-        real_run, jobs = ops._run, []
-
-        def run(job, tasks, *args):
-            jobs.append(len(tasks))
-            return real_run(job, tasks, *args)
-
-        monkeypatch.setattr(ops, "_run", run)
+        jobs = op_jobs(monkeypatch)
         rng = np.random.default_rng(31)
         interval, start = sys.getswitchinterval(), time.monotonic()
         sys.setswitchinterval(1e-6)
@@ -810,6 +822,64 @@ class TestConcurrentJobs:
                 "run1/losses.csv", "run1/stage1_final.mdck",
                 "run2/losses.csv", "run2/stage2_final.mdck")])
         assert runs[0] == runs[1]
+
+
+def op_jobs(monkeypatch):
+    """The job count of every ``ops._run`` call from here on, in call order."""
+    jobs, real_run = [], ops._run
+
+    def run(job, tasks, *args):
+        jobs.append(len(tasks))
+        return real_run(job, tasks, *args)
+
+    monkeypatch.setattr(ops, "_run", run)
+    return jobs
+
+
+class TestJobCounts:
+    """On two workers, an op at batch 1 splits its products so that its jobs
+    come in pairs, as long as every block keeps ``ops._MIN_WORK``
+    multiply-adds; other ops keep the job count of the fewest blocks."""
+
+    def test_full_scale_layers(self, monkeypatch, pool_of):
+        pool_of(2)
+        jobs = op_jobs(monkeypatch)
+        rng = np.random.default_rng(8)
+        counts = []
+        for params, c_in, c_out, spatial in _net_layers(128, 1):
+            wshape = ((c_in, c_out) if params.transposed else (c_out, c_in)) + params.kernel
+            x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                       for s in ((1, c_in) + spatial, wshape, (c_out,)))
+            out = (ops.deconv3d if params.transposed else ops.conv3d)(x, w, b, params)
+            out._backward(np.ones(out.shape, np.float32))
+            counts.append(tuple(jobs))  # forward, dW, dX
+            jobs.clear()
+        assert counts == [
+            (4, 3, 3),  # conv1: dW and dX split 3 input channels
+            (6, 6, 6), (2, 2, 2),  # conv2, conv3
+            (2, 2, 2), (2, 2, 2),  # conv4, conv5: one job each on the fewest blocks
+            (1, 1, 1), (1, 1, 1),  # conv6 and deconv1 at the 1-voxel bottleneck
+            (2, 2, 2), (2, 2, 2),  # deconv2, deconv3: one job each on the fewest blocks
+            (2, 2, 2), (6, 6, 6),  # deconv4, deconv5
+            (3, 3, 4),  # deconv6: forward and dW split 3 output channels
+            (1, 1, 1),  # D's single-filter score
+        ]
+
+    def test_desk_generation(self, monkeypatch, pool_of):
+        from lapsegan.models import build_generator, duplicate_frame, forward_generator
+        pool_of(2)
+        jobs = op_jobs(monkeypatch)
+        frame = np.random.default_rng(9).uniform(-1, 1, (1, 3, 64, 64)).astype(np.float32)
+        video = duplicate_frame(frame, 32)
+        with T.no_grad():
+            for stage in (1, 2):
+                spec = build_generator(stage, 64, 1 / 8)
+                video = forward_generator(spec, ops.init_parameters(spec, stage), video,
+                                          "inference", update_running=False)
+        # Halves of at least 2**23 multiply-adds: deconv4 and deconv5, and
+        # G2's conv2 and conv3 over 32 input frames. G1's encoder convs
+        # compute three output frames of a duplicated frame, one job each.
+        assert jobs == [1, 1, 1, 1, 1, 1, 1, 1, 2, 2] + [2, 2, 1, 1, 1, 1, 1, 1, 2, 2]
 
 
 class TestLeakyReluMask:

@@ -480,6 +480,43 @@ class TestPhaseGradients:
         for ps in params.values():
             assert all(t.requires_grad for t in ps.tensors.values())
 
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("poison", ["gradient", "loss"])
+    def test_diverged_generator_phase_keeps_buffers(self, stage, poison, store64,
+                                                    stage1_ckpt, monkeypatch):
+        # the generator's taped forward folds its batch statistics into the
+        # running ones before the loss or the gradients are checked
+        params = capture_params(monkeypatch)
+        before = {}
+        real_load = training.load_batch
+
+        def load(*args):
+            if args[-1] == 1:  # the first generator phase's batch
+                before.update((f"{net}/{k}", b.copy()) for net, ps in params.items()
+                              for k, b in ps.buffers.items())
+            return real_load(*args)
+
+        monkeypatch.setattr(training, "load_batch", load)
+        if poison == "gradient":
+            real_step = training.adam_step
+
+            def step(net_params, grads, *rest):
+                if net_params is params[f"g{stage}"]:
+                    next(iter(grads.values()))[...] = np.nan
+                return real_step(net_params, grads, *rest)
+
+            monkeypatch.setattr(training, "adam_step", step)
+        else:
+            real_content = training.content_loss
+            monkeypatch.setattr(training, "content_loss",
+                                lambda y, out: real_content(y, out) * np.nan)
+        with pytest.raises(TrainingDiverged):
+            self.run(stage, store64, stage1_ckpt)
+        after = {f"{net}/{k}": b for net, ps in params.items() for k, b in ps.buffers.items()}
+        assert before.keys() == after.keys() and len(before) >= 14
+        for k, b in before.items():
+            assert after[k].tobytes() == b.tobytes(), k
+
 
 class TestStage2:
     def test_runs_and_g1_frozen(self, store64, stage1_ckpt):
