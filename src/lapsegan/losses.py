@@ -7,6 +7,10 @@ and a softmax-contrastive loss pushes the refined video's descriptor toward
 the real one and away from the stage-1 input's. The ranking term is computed
 as softplus(d_plus - d_minus), the numerically stable form of
 -log(e^{-d_plus} / (e^{-d_plus} + e^{-d_minus})).
+
+Every term is built from the tape ops of ``tensor`` except the Gram matrix,
+which is one tape node of its own here: a per-sample symmetric product,
+exactly symmetric, whose backward is one batched GEMM over the features.
 """
 from __future__ import annotations
 
@@ -15,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError
-from .tensor import abs_, clamp, exp, log, log1p, matmul_batched
+from .errors import ConfigError, DimensionError
+from .tensor import Tensor, _accumulate, abs_, clamp, exp, log, log1p
 
 logger = logging.getLogger(__name__)
 
@@ -66,27 +70,30 @@ def content_loss(y, y_hat):
 def gram(features):
     """The (M,M) motion descriptor of discriminator features (N,C,T,H,W).
 
-    Reshapes to (N, M, S) with M = C*T and S = H*W, then sums h h^T over the
-    batch and scales by 1/(M*S) — the batch-sum form, so its scale follows
-    the batch size. Differentiable w.r.t. the features.
+    With each sample reshaped to f of shape (M, S), M = C*T and S = H*W, sums
+    f f^T over the batch in sample order and scales by 1/(M*S) — the
+    batch-sum form, so its scale follows the batch size. numpy forms each
+    f f^T as a symmetric rank-k update, so the matrix is exactly symmetric.
+    Its one tape node keeps only a view of the features; backward hands them
+    (scale * (g + g^T)) f per sample.
     """
     if features.ndim != 5:
         raise DimensionError(f"expected (N,C,T,H,W) features, got {features.shape}")
     n, c, t, h, w = features.shape
     m, s = c * t, h * w
-    flat = features.reshape((n, m, s))
-    prod = matmul_batched(flat, flat.transpose((0, 2, 1)))
-    scale = 1.0 / (m * s)
-    matrix = prod.sum(axes=0) * scale
-    _assert_symmetric(matrix.values)
-    return matrix
+    flat = features.values.reshape((n, m, s))
+    scale = flat.dtype.type(1.0 / (m * s))
+    out = flat[0] @ flat[0].T
+    for f in flat[1:]:
+        out += f @ f.T
+    out *= scale
 
+    def backward(g):
+        gs = g + g.T
+        gs *= scale
+        _accumulate(features, (gs @ flat).reshape(features.shape), fresh=True)
 
-def _assert_symmetric(g, rel=1e-6):
-    peak = np.max(np.abs(g)) if g.size else 0.0
-    skew = np.max(np.abs(g - g.T)) if g.size else 0.0
-    if skew > rel * max(peak, 1e-30):
-        raise ContractError(f"gram matrix asymmetric: skew {skew:g} vs peak {peak:g}")
+    return Tensor._from_op(out, (features,), backward, "gram")
 
 
 def rank_loss_layer(g1, g2, g):

@@ -52,13 +52,13 @@ read ``tensor.no_grad``'s state, which is per thread and not inherited.
 
 Backward never reads the input of batch norm or of an activation: it reads
 a conv's input and weight, batch norm's ``xhat`` and ``inv_std``, a
-leaky_relu or relu mask, a tanh or sigmoid output. So both may write their
-output over their input's array (``_in_place``, which only
-``models._apply_layer`` sets, on the conv output it has just made; sigmoid
-always makes a new array); without it they leave their input alone. Their
-backwards and those of conv3d and deconv3d hand the input and weight
-gradients they have just built to ``_accumulate`` as fresh, to be adopted
-rather than copied.
+leaky_relu or relu mask (built only when the tape records), a tanh or
+sigmoid output. So both may write their output over their input's array
+(``_in_place``, which only ``models._apply_layer`` sets, on the conv output
+it has just made; sigmoid always makes a new array); without it they leave
+their input alone. Their backwards and those of conv3d and deconv3d hand the
+input and weight gradients they have just built to ``_accumulate`` as fresh,
+to be adopted rather than copied.
 
 The rearrangement works on a stride-phase grid (space-to-depth, Shi et al.,
 arXiv:1609.07009): the zero-padded volume is stored as
@@ -82,7 +82,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, _accumulate
+from .tensor import Tensor, _accumulate, recording
 
 LEAKY_SLOPE = 0.2  # DCGAN convention; applied to every leaky_relu
 BN_EPS = 1e-5
@@ -536,7 +536,7 @@ def batchnorm3d(x, state, mode, update_running=True, _in_place=False):
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         xhat = ((x.values - state.running_mean[None, :, None, None, None])
-                * inv_std[None, :, None, None, None]).astype(x.values.dtype)
+                * inv_std[None, :, None, None, None]).astype(x.values.dtype, copy=False)
 
         def input_gradient(g):
             scale = (gamma.values * inv_std).astype(x.values.dtype)
@@ -563,17 +563,18 @@ def activation(kind, x, _in_place=False):
     v = x.values
     dt = v.dtype
     dest = v if _in_place else None
+    taped = recording((x,))  # the masks are read only by backward
     if kind == "leaky_relu":
         # with 0 < slope < 1, max(v, slope*v) is v where v >= 0 and slope*v
         # elsewhere, NaN included, and max(mask, slope) is the per-element slope
         slope = dt.type(LEAKY_SLOPE)
-        mask = v >= 0
+        mask = v >= 0 if taped else None
         out = np.maximum(v, slope * v, out=dest)
 
         def backward(g):
             _accumulate(x, g * np.maximum(mask, slope), fresh=True)
     elif kind == "relu":
-        mask = v > 0
+        mask = v > 0 if taped else None
         out = np.maximum(v, dt.type(0), out=dest)
 
         def backward(g):

@@ -150,9 +150,6 @@ class Tensor:
     def reshape(self, new_shape):
         return reshape(self, new_shape)
 
-    def transpose(self, axes):
-        return transpose(self, axes)
-
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -367,38 +364,6 @@ def reshape(a, new_shape):
         _accumulate(a, g.reshape(a.values.shape))
 
     return Tensor._from_op(out, (a,), backward, "reshape")
-
-
-def transpose(a, axes):
-    a = as_tensor(a)
-    axes = tuple(int(ax) for ax in axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise DimensionError(f"axes {axes} is not a permutation of rank {a.ndim}")
-    out = np.ascontiguousarray(a.values.transpose(axes))
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        _accumulate(a, np.ascontiguousarray(g.transpose(inverse)))
-
-    return Tensor._from_op(out, (a,), backward, "transpose")
-
-
-def matmul_batched(a, b):
-    """Per-batch matrix product: (N,M,S) x (N,S,K) -> (N,M,K)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 3 or b.ndim != 3:
-        raise DimensionError("matmul_batched expects rank-3 operands")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(f"batch extents differ: {a.shape[0]} vs {b.shape[0]}")
-    if a.shape[2] != b.shape[1]:
-        raise DimensionError(f"inner extents differ: {a.shape[2]} vs {b.shape[1]}")
-    out = a.values @ b.values
-
-    def backward(g):
-        _accumulate(a, g @ b.values.transpose(0, 2, 1))
-        _accumulate(b, a.values.transpose(0, 2, 1) @ g)
-
-    return Tensor._from_op(out, (a, b), backward, "matmul_batched")
 
 
 # -- backward pass --------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,21 +124,26 @@ class TestGram:
     def test_zero_features(self):
         assert not np.any(gram(t64(np.zeros((2, 2, 2, 2, 2)))).values)
 
+    def test_non_volume_rejected(self):
+        with pytest.raises(DimensionError):
+            gram(t64(np.zeros((2, 4, 6))))
+
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
         feat = rng.standard_normal((2, 3, 2, 2, 3))
         assert_allclose(gram(t64(feat)).values, gram_loop_oracle(feat), atol=1e-10)
 
-    def test_symmetric_and_psd(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exactly_symmetric_and_psd(self, dtype):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            shape = (int(rng.integers(1, 3)), int(rng.integers(1, 5)),
-                     int(rng.integers(1, 4)), int(rng.integers(1, 4)),
-                     int(rng.integers(1, 4)))
-            g = gram(t64(rng.standard_normal(shape))).values
-            assert g.shape[0] <= 32
-            assert np.max(np.abs(g - g.T)) <= 1e-6 * max(np.max(np.abs(g)), 1e-30)
-            eig = np.linalg.eigvalsh(g)
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)),
+                     int(rng.integers(1, 4)), int(rng.integers(1, 9)),
+                     int(rng.integers(1, 9)))
+            g = gram(Tensor(rng.standard_normal(shape).astype(dtype))).values
+            assert g.dtype == dtype and g.shape[0] <= 32
+            assert g.tobytes() == g.T.copy().tobytes()
+            eig = np.linalg.eigvalsh(g.astype(np.float64))
             assert eig.min() >= -1e-6 * np.trace(g)
 
     def test_gradient_through_descriptor(self):
@@ -145,6 +151,75 @@ class TestGram:
         feat = t64(rng.standard_normal((1, 2, 2, 2, 2)))
         err = grad_check(lambda v: (gram(v) * gram(v)).sum(), feat)
         assert err < 1e-5
+
+    def test_gradient_under_non_symmetric_upstream(self):
+        # training only ever sends a symmetric upstream; this checks the
+        # general (g + g^T) form of the backward
+        rng = np.random.default_rng(10)
+        weights = t64(rng.standard_normal((6, 6)))
+        assert not np.array_equal(weights.values, weights.values.T)
+        feat = t64(rng.standard_normal((2, 3, 2, 2, 3)))
+        assert grad_check(lambda v: (gram(v) * weights).sum(), feat) < 1e-6
+
+    def test_taped_gram_keeps_only_its_matrix(self):
+        # the batched-GEMM composition kept a transposed copy of the features
+        # as well: 1.31 MB here against the 64 KB matrix
+        n, c, t, h, w = 2, 8, 16, 32, 32
+        feat = Tensor(np.random.default_rng(11).standard_normal((n, c, t, h, w))
+                      .astype(np.float32), requires_grad=True)
+        gram(feat)  # first-use allocations outside the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            matrix = gram(feat)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert matrix.requires_grad and matrix.shape == (c * t, c * t)
+        assert held <= 1.05 * matrix.values.nbytes
+
+
+def gram_by_matmul_batched(features):
+    """The Gram matrix of ``features`` and its backward as the tape ran them
+    when ``gram`` was composed of general ops: a contiguous transposed copy,
+    a batched GEMM, a batch sum and a scale, then the backward of each (two
+    GEMMs, every first gradient copied by ``_accumulate``, which turns -0.0
+    into +0.0). Kept to pin the bits."""
+    n, c, t, h, w = features.shape
+    m, s = c * t, h * w
+    scale = features.dtype.type(1.0 / (m * s))
+    flat = features.reshape(n, m, s)
+    flat_t = np.ascontiguousarray(flat.transpose(0, 2, 1))
+
+    def backward(upstream):
+        g_prod = np.broadcast_to(upstream * scale, (n, m, m)) + 0.0
+        g_flat = g_prod @ flat_t.transpose(0, 2, 1) + 0.0
+        g_flat += np.ascontiguousarray((flat.transpose(0, 2, 1) @ g_prod).transpose(0, 2, 1))
+        return g_flat.reshape(features.shape) + 0.0
+
+    return (flat @ flat_t).sum(axis=0) * scale, backward
+
+
+class TestGramBits:
+    """The one-node Gram keeps the bits of the composition it replaced,
+    forward and backward, under the rank loss's own upstream gradient."""
+
+    @pytest.mark.parametrize("shape", [(1, 32, 32, 64, 64), (1, 128, 8, 16, 16),
+                                       (2, 8, 16, 32, 32), (3, 8, 4, 8, 8)])
+    def test_forward_and_rank_loss_gradient(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        feats = [Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+                 for _ in range(3)]
+        grams = [gram(f) for f in feats]
+        T.backward(rank_loss_layer(*grams))
+
+        want = [gram_by_matmul_batched(f.values) for f in feats]
+        leaves = [Tensor(matrix, requires_grad=True) for matrix, _ in want]
+        T.backward(rank_loss_layer(*leaves))
+        for f, g, leaf, (_, want_backward) in zip(feats, grams, leaves, want):
+            assert g.values.tobytes() == leaf.values.tobytes()
+            assert np.array_equal(leaf.grad, leaf.grad.T)
+            assert f.grad.tobytes() == want_backward(leaf.grad).tobytes()
 
 
 class TestSoftplusAndRanking:

@@ -13,6 +13,7 @@ from gradcheck import grad_check
 from lapsegan import ops
 from lapsegan import tensor as T
 from lapsegan.errors import ContractError, DimensionError, DomainError, IntegrityError
+from lapsegan.losses import gram
 from lapsegan.tensor import Tensor
 
 
@@ -111,69 +112,10 @@ class TestShapeOps:
             f64(np.zeros((2, 3))).reshape((7,))
 
     def test_reshape_feature_block(self):
-        # (N, C, T, H, W) -> (N, C*T, H*W) used by the motion descriptor
+        # (N, C, T, H, W) -> (N, C*T, H*W), the motion descriptor's fold
         x = f64(np.zeros((2, 32, 32, 64, 64), dtype=np.float64))
         out = x.reshape((2, 1024, 4096))
         assert out.shape == (2, 1024, 4096)
-
-    def test_transpose_round_trip_bitwise(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 3, 5))
-        out = f64(x).transpose((2, 0, 1)).transpose((1, 2, 0))
-        assert_array_equal(out.values, x)
-
-    def test_transpose_backward(self):
-        err = grad_check(
-            lambda t: (t.transpose((1, 0)) * t.transpose((1, 0))).sum(),
-            f64(np.random.default_rng(0).standard_normal((3, 2))),
-        )
-        assert err < 1e-6
-
-
-def matmul_oracle(a, b):
-    """Brute-force triple loop batched matmul."""
-    n, m, s = a.shape
-    _, _, k = b.shape
-    out = np.zeros((n, m, k))
-    for i in range(n):
-        for r in range(m):
-            for c in range(k):
-                for j in range(s):
-                    out[i, r, c] += a[i, r, j] * b[i, j, c]
-    return out
-
-
-class TestMatmulBatched:
-    def test_identity(self):
-        eye = np.eye(2)[None]
-        m = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = T.matmul_batched(f64(eye), f64(m))
-        assert_array_equal(out.values, m)
-
-    def test_ones(self):
-        out = T.matmul_batched(f64(np.ones((1, 2, 3))), f64(np.ones((1, 3, 2))))
-        assert_array_equal(out.values, 3.0 * np.ones((1, 2, 2)))
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((1, 3, 4))
-        b = rng.standard_normal((1, 4, 3))
-        out = T.matmul_batched(f64(a), f64(b))
-        assert_allclose(out.values, matmul_oracle(a, b), atol=1e-10)
-        # both backward paths against finite differences
-        errA = grad_check(
-            lambda t: (T.matmul_batched(t, f64(b)) * T.matmul_batched(t, f64(b))).sum(),
-            f64(a))
-        errB = grad_check(
-            lambda t: (T.matmul_batched(f64(a), t) * T.matmul_batched(f64(a), t)).sum(),
-            f64(b))
-        assert errA < 1e-6 and errB < 1e-6
-
-    def test_extent_mismatch(self):
-        with pytest.raises(DimensionError):
-            T.matmul_batched(f64(np.ones((1, 2, 3))), f64(np.ones((1, 2, 3))))
-        with pytest.raises(DimensionError):
-            T.matmul_batched(f64(np.ones((2, 2, 3))), f64(np.ones((1, 3, 2))))
 
 
 class TestBackward:
@@ -361,11 +303,10 @@ class TestGradCheck:
 
     def test_composite_gram_l1_log_chain(self):
         rng = np.random.default_rng(9)
-        h = rng.standard_normal((1, 2, 6))
+        h = rng.standard_normal((1, 2, 1, 2, 3))
 
         def f(t):
-            g = T.matmul_batched(t, t.transpose((0, 2, 1))).sum(axes=0) * (1.0 / 12.0)
-            return T.log(T.abs_(g).sum() + 1.0)
+            return T.log(T.abs_(gram(t)).sum() + 1.0)
 
         assert grad_check(f, f64(h), step=1e-5) < 1e-5
 
